@@ -131,7 +131,7 @@ func (c *Coordinator) persistLocked(camp *campaignState) {
 			return
 		}
 	}
-	buf, err := json.MarshalIndent(c.recordLocked(camp), "", "  ")
+	buf, err := json.Marshal(c.recordLocked(camp))
 	if err == nil {
 		err = c.area.Save(camp.id, append(buf, '\n'))
 	}

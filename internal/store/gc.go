@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -92,8 +90,9 @@ func staleKey(key string) (stale bool, reason string) {
 // build no longer recognizes. Such blocks can never be served again (the
 // current key schema cannot address them), so they are pure disk overhead
 // in a long-lived farm store. Corrupt blocks found along the way are
-// quarantined, mirroring the index rebuild. The index is rewritten after a
-// non-dry run so it never names an evicted block.
+// quarantined, exactly as by the index rebuild. After a non-dry run the
+// index is rewritten from the blocks the walk kept, so it names each of
+// them — including ones other handles wrote — and no evicted one.
 func (s *Store) GC(opts GCOptions) (GCReport, error) {
 	if opts.SampleKeys == 0 {
 		opts.SampleKeys = 10
@@ -104,68 +103,36 @@ func (s *Store) GC(opts GCOptions) (GCReport, error) {
 			return rep, &LeaseHeldError{Info: info}
 		}
 	}
-	root := filepath.Join(s.dir, "blocks")
-	var evict, bad []string
-	evictKey := map[string]string{} // path -> key
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return err
-		}
-		rep.Scanned++
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			s.warnf("gc: %s: %v (quarantining)", path, err)
-			bad = append(bad, path)
-			return nil
-		}
-		var f blockFile
-		if jerr := json.Unmarshal(buf, &f); jerr != nil || f.Schema != BlockSchema {
-			s.warnf("gc: %s: unreadable or foreign block (quarantining)", path)
-			bad = append(bad, path)
-			return nil
-		}
-		canon, cerr := canonicalPayload(f.Payload)
-		var p blockPayload
-		if cerr != nil || json.Unmarshal(canon, &p) != nil || hashHex(canon) != f.SHA256 {
-			s.warnf("gc: %s: corrupt block (quarantining)", path)
-			bad = append(bad, path)
-			return nil
-		}
-		if stale, reason := staleKey(p.Key); stale {
-			rep.Evicted++
-			rep.BytesReclaimed += int64(len(buf))
-			if opts.SampleKeys > 0 && len(rep.EvictedSample) < opts.SampleKeys {
-				rep.EvictedSample = append(rep.EvictedSample, p.Key)
-			}
-			s.warnf("gc: evicting %s: %s", p.Key, reason)
-			evict = append(evict, path)
-			evictKey[path] = p.Key
-			return nil
-		}
-		rep.Kept++
-		return nil
-	})
+	blocks, damaged, err := s.scanBlocks("gc", opts.DryRun)
 	if err != nil {
 		return rep, fmt.Errorf("store: gc: %w", err)
 	}
+	rep.Scanned = len(blocks) + damaged
+	rep.Quarantined = damaged
+	var kept, evict []scannedBlock
+	for _, b := range blocks {
+		stale, reason := staleKey(b.Key)
+		if !stale {
+			kept = append(kept, b)
+			continue
+		}
+		rep.BytesReclaimed += b.Size
+		if opts.SampleKeys > 0 && len(rep.EvictedSample) < opts.SampleKeys {
+			rep.EvictedSample = append(rep.EvictedSample, b.Key)
+		}
+		s.warnf("gc: evicting %s: %s", b.Key, reason)
+		evict = append(evict, b)
+	}
+	rep.Kept, rep.Evicted = len(kept), len(evict)
 	if !opts.DryRun {
-		for _, path := range bad {
-			s.quarantine(path)
-		}
-		rep.Quarantined = len(bad)
-		for _, path := range evict {
-			if err := os.Remove(path); err != nil {
-				return rep, fmt.Errorf("store: gc: evicting %s: %w", path, err)
+		for _, b := range evict {
+			if err := os.Remove(b.path); err != nil {
+				return rep, fmt.Errorf("store: gc: evicting %s: %w", b.path, err)
 			}
-			s.mu.Lock()
-			delete(s.index, evictKey[path])
-			s.mu.Unlock()
 		}
-		if err := s.writeIndex(); err != nil {
+		if err := s.replaceIndex(kept); err != nil {
 			s.warnf("gc: rewriting index: %v (blocks are unaffected)", err)
 		}
-	} else {
-		rep.Quarantined = len(bad)
 	}
 	s.metrics().Counter("store.gc.scanned").Add(uint64(rep.Scanned))
 	s.metrics().Counter("store.gc.kept").Add(uint64(rep.Kept))

@@ -64,7 +64,7 @@ func TestRebuildQuarantinesBadBlocks(t *testing.T) {
 		t.Fatalf("write foreign: %v", err)
 	}
 
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "index.jsonl")); err != nil {
 		t.Fatalf("remove index: %v", err)
 	}
 	s2, err := Open(dir)

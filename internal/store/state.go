@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -117,20 +116,8 @@ func (a *StateArea) AppendLog(name string, line []byte) error {
 	if err := validStateName(name); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(a.dir, name+".jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := appendLine(filepath.Join(a.dir, name+".jsonl"), line); err != nil {
 		return fmt.Errorf("store: appending log %s: %w", name, err)
-	}
-	if len(line) == 0 || line[len(line)-1] != '\n' {
-		line = append(append([]byte(nil), line...), '\n')
-	}
-	_, werr := f.Write(line)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("store: appending log %s: %w", name, werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("store: appending log %s: %w", name, cerr)
 	}
 	return nil
 }
@@ -142,17 +129,12 @@ func (a *StateArea) LoadLog(name string) ([]byte, error) {
 	if err := validStateName(name); err != nil {
 		return nil, err
 	}
-	buf, err := os.ReadFile(filepath.Join(a.dir, name+".jsonl"))
+	buf, _, err := readLines(filepath.Join(a.dir, name+".jsonl"))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: loading log %s: %w", name, err)
-	}
-	if i := bytes.LastIndexByte(buf, '\n'); i < 0 {
-		return nil, nil
-	} else if i != len(buf)-1 {
-		buf = buf[:i+1]
 	}
 	return buf, nil
 }

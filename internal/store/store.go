@@ -17,14 +17,21 @@
 // Layout:
 //
 //	<dir>/blocks/<aa>/<sha256(key)>.json   one cell's sample block
-//	<dir>/index.json                       advisory listing of all blocks
+//	<dir>/index.jsonl                      advisory log of all blocks
+//	<dir>/quarantine/                      damaged blocks, moved aside
+//	<dir>/coordination/                    fencing lease (Coordination)
+//	<dir>/<name>/                          state areas, e.g. campaigns/
 //
 // Block files are written atomically (temp + rename) and carry an integrity
 // hash over their canonical payload; a corrupt, truncated, mismatched, or
 // foreign-schema block degrades to a miss, never to wrong data. The index
 // is an advisory accelerator for humans and tooling (`szfarm status`, the
-// CI artifact upload): lookups never trust it, and Open rebuilds it from
-// the blocks on disk when it is missing or stale.
+// CI artifact upload): lookups never trust it. It is an append-only log —
+// a {"schema":2} header line, then one IndexEntry line per Put, the last
+// line for a key winning — so a Put costs the same at any store size, and
+// appends from several handles or processes never overwrite each other.
+// Open replays the log and rebuilds it from the blocks on disk when it is
+// missing or damaged; the rebuild and GC are the only whole-file writers.
 package store
 
 import (
@@ -33,6 +40,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,8 +57,17 @@ import (
 // are ignored (a miss) rather than trusted.
 const BlockSchema = 1
 
-// IndexSchema versions the index-file layout.
-const IndexSchema = 1
+// IndexSchema versions the index log; its first line is
+// {"schema":IndexSchema}.
+const IndexSchema = 2
+
+const (
+	// indexName is the index log beside blocks/.
+	indexName = "index.jsonl"
+	// legacyIndexName is the schema-1 index older builds rewrote whole on
+	// every Put. It is never read; the index rebuild deletes it.
+	legacyIndexName = "index.json"
+)
 
 // KeyFor returns the store key for one cell: experiment.CellKey extended
 // with the engine tag and semantics generation. Callers must resolve
@@ -114,7 +131,8 @@ type blockPayload struct {
 	Results  []experiment.RunResult `json:"results"`
 }
 
-// IndexEntry describes one stored block in the advisory index.
+// IndexEntry describes one stored block in the advisory index; each is one
+// line of the index log.
 type IndexEntry struct {
 	Key      string `json:"key"`
 	Bench    string `json:"bench"`
@@ -124,15 +142,17 @@ type IndexEntry struct {
 	Size     int64  `json:"size"`
 }
 
-type indexFile struct {
-	Schema int          `json:"schema"`
-	Blocks []IndexEntry `json:"blocks"`
-}
+// indexHeader is the index log's first line.
+var indexHeader = fmt.Sprintf(`{"schema":%d}`, IndexSchema)
 
 // Store is an open result store. Methods are safe for concurrent use
-// within one process; cross-process writers are safe too (atomic renames),
-// though their index updates may race — which only staleness-tolerates the
-// advisory index, never lookups.
+// within one process, and several handles or processes may Put into one
+// store at once: blocks land by atomic rename and index entries by
+// O_APPEND writes of one line each, so on a local file system no writer
+// loses another's entry. Only a GC or index rebuild, which replace the
+// whole index file, can drop the entry of a Put that races them from
+// another handle — never the block — which is one reason GC refuses a
+// held coordination lease.
 type Store struct {
 	dir string
 
@@ -157,8 +177,11 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{dir: dir, index: map[string]IndexEntry{}}
 	if err := s.loadIndex(); err != nil {
-		// A broken index is rebuilt, not fatal: blocks are the truth.
-		s.index = map[string]IndexEntry{}
+		// A missing or damaged index is rebuilt, not fatal: blocks are the
+		// truth.
+		if !os.IsNotExist(err) {
+			s.warnf("%s: %v (rebuilding it from the blocks)", indexName, err)
+		}
 		if rerr := s.rebuildIndex(); rerr != nil {
 			return nil, rerr
 		}
@@ -293,9 +316,9 @@ func (s *Store) Get(key string, runs int, seedBase uint64) []experiment.RunResul
 	return p.Results
 }
 
-// Put stores a completed cell atomically and updates the index. Writing an
-// existing key is a no-op (blocks are immutable; determinism means the
-// incumbent is as good as the newcomer).
+// Put stores a completed cell atomically and appends its index entry.
+// Writing an existing key is a no-op (blocks are immutable; determinism
+// means the incumbent is as good as the newcomer).
 func (s *Store) Put(key string, runs int, seedBase uint64, results []experiment.RunResult) error {
 	if len(results) != runs {
 		return fmt.Errorf("store: put %q: %d results for %d runs", key, len(results), runs)
@@ -314,9 +337,10 @@ func (s *Store) Put(key string, runs int, seedBase uint64, results []experiment.
 	if err != nil {
 		return fmt.Errorf("store: encode block: %w", err)
 	}
+	sum := hashHex(payload)
 	buf, err := json.MarshalIndent(blockFile{
 		Schema:  BlockSchema,
-		SHA256:  hashHex(payload),
+		SHA256:  sum,
 		Payload: payload,
 	}, "", "  ")
 	if err != nil {
@@ -329,16 +353,21 @@ func (s *Store) Put(key string, runs int, seedBase uint64, results []experiment.
 	if err := atomicWrite(path, buf); err != nil {
 		return fmt.Errorf("store: put: %w", err)
 	}
+	e := IndexEntry{
+		Key: key, Bench: benchOf(key), Runs: runs, SeedBase: seedBase,
+		SHA256: sum, Size: int64(len(buf)),
+	}
 	s.mu.Lock()
 	s.puts++
-	s.index[key] = IndexEntry{
-		Key: key, Bench: benchOf(key), Runs: runs, SeedBase: seedBase,
-		SHA256: hashHex(payload), Size: int64(len(buf)),
-	}
+	s.index[key] = e
 	s.mu.Unlock()
 	s.metrics().Counter("store.put.blocks").Inc()
 	s.metrics().Counter("store.put.bytes").Add(uint64(len(buf)))
-	if err := s.writeIndex(); err != nil {
+	line, err := json.Marshal(e)
+	if err == nil {
+		err = appendLine(filepath.Join(s.dir, indexName), append(line, '\n'))
+	}
+	if err != nil {
 		// The index is advisory; a failed update is a warning, not a lost
 		// block.
 		s.warnf("updating index: %v (blocks are unaffected)", err)
@@ -387,77 +416,131 @@ func atomicWrite(path string, buf []byte) error {
 	return nil
 }
 
-// loadIndex reads index.json into memory.
-func (s *Store) loadIndex() error {
-	buf, err := os.ReadFile(filepath.Join(s.dir, "index.json"))
-	if os.IsNotExist(err) {
-		return s.rebuildIndex()
-	}
+// appendLine appends one newline-terminated line to the log at path,
+// creating the file if needed. The line goes out in one O_APPEND write, so
+// appends from several handles or processes on a local file system land
+// whole and one after another. A crash can still tear the final line,
+// which readLines reports.
+func appendLine(path string, line []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	var f indexFile
-	if err := json.Unmarshal(buf, &f); err != nil {
+	if len(line) == 0 || line[len(line)-1] != '\n' {
+		line = append(append([]byte(nil), line...), '\n')
+	}
+	_, werr := f.Write(line)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
+
+// readLines reads the log at path up to its last newline. An unterminated
+// tail — a crash mid-append — is cut off and reported as torn; a log with
+// no whole line reads as nil.
+func readLines(path string) (lines []byte, torn bool, err error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false, err
+	}
+	n := bytes.LastIndexByte(buf, '\n') + 1
+	if n == 0 {
+		return nil, len(buf) > 0, nil
+	}
+	return buf[:n], n < len(buf), nil
+}
+
+// loadIndex replays the index log into memory; when two lines share a key
+// the last one wins. A missing file, a wrong header, a torn final line or
+// an undecodable line is an error, on which Open rebuilds the index.
+func (s *Store) loadIndex() error {
+	buf, torn, err := readLines(filepath.Join(s.dir, indexName))
+	if err != nil {
 		return err
 	}
-	if f.Schema != IndexSchema {
-		return fmt.Errorf("store: index schema %d, this build reads %d", f.Schema, IndexSchema)
+	if torn {
+		return errors.New("torn final line")
 	}
-	for _, e := range f.Blocks {
+	head, rest, _ := bytes.Cut(buf, []byte{'\n'})
+	if string(head) != indexHeader {
+		return fmt.Errorf("header %q, this build reads %s", head, indexHeader)
+	}
+	for len(rest) > 0 {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		var e IndexEntry
+		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
+			return fmt.Errorf("undecodable entry %q", line)
+		}
 		s.index[e.Key] = e
 	}
 	return nil
 }
 
-// rebuildIndex scans the block directories and rewrites the index from
-// what is actually on disk. Corrupt, truncated, or foreign blocks are
-// quarantined — moved aside into <dir>/quarantine/ so a later Put of the
-// same key is not blocked by Put's exists-check short-circuit — and the
-// rebuild continues; only a failed directory walk aborts it.
+// rebuildIndex rewrites the index from what is actually on disk,
+// quarantining damaged blocks along the way.
 func (s *Store) rebuildIndex() error {
-	s.mu.Lock()
-	s.index = map[string]IndexEntry{}
-	s.mu.Unlock()
-	root := filepath.Join(s.dir, "blocks")
+	blocks, _, err := s.scanBlocks("index rebuild", false)
+	if err != nil {
+		return fmt.Errorf("store: rebuild index: %w", err)
+	}
+	return s.replaceIndex(blocks)
+}
+
+// scannedBlock is one intact block found by scanBlocks.
+type scannedBlock struct {
+	path string
+	IndexEntry
+}
+
+// scanBlocks walks the block tree and verifies every block file: schema,
+// canonical payload and integrity hash. It returns the intact blocks and
+// the number of damaged ones — unreadable, foreign, or corrupt — which it
+// moves into <dir>/quarantine/ unless dryRun, so that a later Put of the
+// same key is not blocked by Put's exists-check short-circuit. Only a
+// failed directory walk is an error. GC and the index rebuild both judge
+// blocks here, so they never disagree about what is on disk.
+func (s *Store) scanBlocks(op string, dryRun bool) (blocks []scannedBlock, damaged int, err error) {
 	var bad []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(filepath.Join(s.dir, "blocks"), func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
 			return err
 		}
 		buf, err := os.ReadFile(path)
 		if err != nil {
-			s.warnf("%s: %v (quarantined by index rebuild)", path, err)
+			s.warnf("%s: %s: %v (quarantining)", op, path, err)
 			bad = append(bad, path)
 			return nil
 		}
 		var f blockFile
 		if err := json.Unmarshal(buf, &f); err != nil || f.Schema != BlockSchema {
-			s.warnf("%s: unreadable or foreign block (quarantined by index rebuild)", path)
+			s.warnf("%s: %s: unreadable or foreign block (quarantining)", op, path)
 			bad = append(bad, path)
 			return nil
 		}
 		var p blockPayload
 		canon, err := canonicalPayload(f.Payload)
 		if err != nil || json.Unmarshal(canon, &p) != nil || hashHex(canon) != f.SHA256 {
-			s.warnf("%s: corrupt block (quarantined by index rebuild)", path)
+			s.warnf("%s: %s: corrupt block (quarantining)", op, path)
 			bad = append(bad, path)
 			return nil
 		}
-		s.mu.Lock()
-		s.index[p.Key] = IndexEntry{
+		blocks = append(blocks, scannedBlock{path: path, IndexEntry: IndexEntry{
 			Key: p.Key, Bench: p.Bench, Runs: p.Runs, SeedBase: p.SeedBase,
 			SHA256: f.SHA256, Size: int64(len(buf)),
-		}
-		s.mu.Unlock()
+		}})
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("store: rebuild index: %w", err)
+		return nil, 0, err
 	}
-	for _, path := range bad {
-		s.quarantine(path)
+	if !dryRun {
+		for _, path := range bad {
+			s.quarantine(path)
+		}
 	}
-	return s.writeIndex()
+	return blocks, len(bad), nil
 }
 
 // quarantine moves a damaged block file into <dir>/quarantine/, keeping
@@ -477,13 +560,31 @@ func (s *Store) quarantine(path string) {
 	s.metrics().Counter("store.quarantined.blocks").Inc()
 }
 
-// writeIndex atomically rewrites index.json, sorted by key so equal stores
-// produce byte-identical indexes.
-func (s *Store) writeIndex() error {
-	f := indexFile{Schema: IndexSchema, Blocks: s.Index()}
-	buf, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
+// replaceIndex makes the scanned blocks the whole index, in memory and on
+// disk. The file is rewritten atomically, sorted by key so equal stores
+// produce byte-identical indexes, and a schema-1 index.json left by an
+// older build is deleted. Only rebuildIndex and GC call it; Put appends.
+func (s *Store) replaceIndex(blocks []scannedBlock) error {
+	index := make(map[string]IndexEntry, len(blocks))
+	for _, b := range blocks {
+		index[b.Key] = b.IndexEntry
+	}
+	s.mu.Lock()
+	s.index = index
+	s.mu.Unlock()
+	buf := []byte(indexHeader + "\n")
+	for _, e := range s.Index() {
+		line, err := json.Marshal(e)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, line...), '\n')
+	}
+	if err := atomicWrite(filepath.Join(s.dir, indexName), buf); err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(s.dir, "index.json"), append(buf, '\n'))
+	if err := os.Remove(filepath.Join(s.dir, legacyIndexName)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return nil
 }

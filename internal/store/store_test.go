@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -155,13 +156,13 @@ func TestIndexRebuild(t *testing.T) {
 			t.Fatalf("put %s: %v", k, err)
 		}
 	}
-	idx1, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	idx1, err := os.ReadFile(filepath.Join(dir, "index.jsonl"))
 	if err != nil {
 		t.Fatalf("read index: %v", err)
 	}
 
 	// Delete the index; reopening must rebuild it byte-identically.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "index.jsonl")); err != nil {
 		t.Fatalf("remove index: %v", err)
 	}
 	s2, err := Open(dir)
@@ -171,7 +172,7 @@ func TestIndexRebuild(t *testing.T) {
 	if s2.Len() != len(keys) {
 		t.Fatalf("rebuilt index has %d blocks, want %d", s2.Len(), len(keys))
 	}
-	idx2, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	idx2, err := os.ReadFile(filepath.Join(dir, "index.jsonl"))
 	if err != nil {
 		t.Fatalf("read rebuilt index: %v", err)
 	}
@@ -180,7 +181,7 @@ func TestIndexRebuild(t *testing.T) {
 	}
 
 	// A corrupt index file is rebuilt, not fatal.
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{nope"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), []byte("{nope"), 0o644); err != nil {
 		t.Fatalf("corrupt index: %v", err)
 	}
 	s3, err := Open(dir)
@@ -233,5 +234,52 @@ func TestCellSourceAdapter(t *testing.T) {
 	hits, _, _ := s.Stats()
 	if hits != 1 {
 		t.Fatalf("store hits=%d, want 1", hits)
+	}
+}
+
+// prefilledStore opens a fresh store holding n one-run blocks under the keys
+// fillKey(0..n-1).
+func prefilledStore(b *testing.B, n int) *Store {
+	b.Helper()
+	s := openDir(b, b.TempDir())
+	for i := 0; i < n; i++ {
+		if err := s.Put(fillKey(i), 1, uint64(i), fakeResults(1)); err != nil {
+			b.Fatalf("prefill: %v", err)
+		}
+	}
+	return s
+}
+
+func fillKey(i int) string { return fmt.Sprintf("astar|fill-%d", i) }
+
+// BenchmarkStorePut times one Put of a one-run block, the farm's per-cell
+// store write, into stores pre-filled with 100 and 2000 blocks. Put appends
+// one index line, so both sizes should cost the same.
+func BenchmarkStorePut(b *testing.B) {
+	results := fakeResults(1)
+	for _, n := range []int{100, 2000} {
+		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
+			s := prefilledStore(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Put(fmt.Sprintf("astar|put-%d", i), 1, uint64(i), results); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStoreGet times one verified lookup of a stored one-run block.
+func BenchmarkStoreGet(b *testing.B) {
+	const n = 100
+	s := prefilledStore(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.Get(fillKey(i%n), 1, uint64(i%n)) == nil {
+			b.Fatal("miss on a stored block")
+		}
 	}
 }
