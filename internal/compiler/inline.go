@@ -26,6 +26,10 @@ func (p Inline) Run(m *ir.Module) {
 	}
 	ir.ComputeSizes(m)
 	reach := callReachability(m)
+	// One throw set serves the whole pass: only callees outside it are
+	// spliced, and such a body holds no OpThrow and no call that reaches
+	// one, so no splice changes which functions can raise.
+	throwy := throwyFuncs(m, reach)
 	entry := m.Entry()
 
 	for fi, f := range m.Funcs {
@@ -33,7 +37,7 @@ func (p Inline) Run(m *ir.Module) {
 		// Repeatedly inline the first eligible call site until none remain
 		// or the growth budget is hit.
 		for !budgetHit {
-			site := findInlineSite(m, fi, f, entry, reach, p.Threshold)
+			site := findInlineSite(m, fi, f, entry, reach, throwy, p.Threshold)
 			if site == nil {
 				break
 			}
@@ -52,8 +56,7 @@ type inlineSite struct {
 }
 
 // findInlineSite locates the first call in f eligible for inlining.
-func findInlineSite(m *ir.Module, fi int, f *ir.Function, entry int, reach [][]bool, threshold uint64) *inlineSite {
-	throwy := throwyFuncs(m)
+func findInlineSite(m *ir.Module, fi int, f *ir.Function, entry int, reach [][]bool, throwy []bool, threshold uint64) *inlineSite {
 	for bi, b := range f.Blocks {
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
@@ -85,30 +88,34 @@ func findInlineSite(m *ir.Module, fi int, f *ir.Function, entry int, reach [][]b
 	return nil
 }
 
-// throwyFuncs returns the set of functions that may raise an exception,
+// throwyFuncs reports, per function, whether it may raise an exception,
 // directly or through a callee (invokes that catch internally still count,
-// conservatively).
-func throwyFuncs(m *ir.Module) map[int]bool {
-	out := map[int]bool{}
-	for fi, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if b.Instrs[i].Op == ir.OpThrow {
-					out[fi] = true
-				}
-			}
+// conservatively). reach is callReachability(m).
+func throwyFuncs(m *ir.Module, reach [][]bool) []bool {
+	out := make([]bool, len(m.Funcs))
+	for t, f := range m.Funcs {
+		if !containsThrow(f) {
+			continue
 		}
-	}
-	reach := callReachability(m)
-	for fi := range m.Funcs {
-		for t := range out {
+		out[t] = true
+		for fi := range m.Funcs {
 			if reach[fi][t] {
 				out[fi] = true
-				break
 			}
 		}
 	}
 	return out
+}
+
+func containsThrow(f *ir.Function) bool {
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Op == ir.OpThrow {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // callReachability computes transitive reachability over the call graph:

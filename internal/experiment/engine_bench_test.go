@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/spec"
 )
 
@@ -28,6 +30,7 @@ func benchEngine(b *testing.B, eng interp.Engine) {
 	if _, err := cc.Run(1); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
@@ -42,3 +45,26 @@ func benchEngine(b *testing.B, eng interp.Engine) {
 
 func BenchmarkEngineCompiled(b *testing.B) { benchEngine(b, interp.EngineCompiled) }
 func BenchmarkEngineWalk(b *testing.B)     { benchEngine(b, interp.EngineWalk) }
+
+// BenchmarkCompileSuite measures compiling the 18 suite benchmarks at the
+// gate's scale (0.2), once per optimization level: the compile work a
+// gate-quick round (-O2) or an -O3 sweep pays before its first run. The
+// source modules are built outside the timer.
+func BenchmarkCompileSuite(b *testing.B) {
+	var srcs []*ir.Module
+	for _, bm := range spec.Suite() {
+		srcs = append(srcs, bm.Build(0.2))
+	}
+	for _, lvl := range []compiler.OptLevel{compiler.O2, compiler.O3} {
+		b.Run(strings.TrimPrefix(lvl.String(), "-"), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range srcs {
+					if _, err := compiler.Compile(src, compiler.Options{Level: lvl}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

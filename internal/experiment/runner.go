@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -182,6 +183,11 @@ func (c *Compiled) ProfileRun(ctx context.Context, seed uint64) (RunResult, *obs
 	return c.runCtx(ctx, seed, true)
 }
 
+// machines recycles simulated machines across runs. A reset machine is
+// indistinguishable from a new one, and resetting costs far less than
+// allocating and zeroing fresh tables (the L3 tag array alone is 512 KiB).
+var machines = sync.Pool{New: func() any { return machine.New(machine.DefaultConfig()) }}
+
 func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool) (RunResult, *obs.Profile, error) {
 	r := rng.NewMarsaglia(seed ^ 0x5ab1112e)
 	as := mem.NewAddressSpaceEnv(c.Cfg.EnvSize)
@@ -199,7 +205,11 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool) (RunRe
 		return RunResult{}, nil, err
 	}
 	mcfg := machine.DefaultConfig()
-	mach := machine.New(mcfg)
+	mach := machines.Get().(*machine.Machine)
+	// Reset on every take: a run that trapped, panicked or was interrupted
+	// put its machine back mid-flight.
+	mach.Reset()
+	defer machines.Put(mach)
 	// Every run gets a fresh physical page assignment, as on a real OS.
 	mach.SetPhysicalSeed(r.Next64())
 

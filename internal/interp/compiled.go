@@ -16,12 +16,14 @@
 //     instead of the general Data/Fetch, with instruction-fetch set/tag
 //     lookups memoized per layout epoch;
 //   - allocation: register files and frame slots come from a grow-only
-//     arena released on return, and per-block runtime bookkeeping reuses
-//     pre-bound closures, so steady-state execution does not allocate.
+//     arena released on return, whose blocks are reused across runs, and
+//     per-block runtime bookkeeping reuses pre-bound closures, so
+//     steady-state execution does not allocate.
 package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -50,6 +52,11 @@ type arena struct {
 	bi     int
 	top    int
 }
+
+// arenas recycles arenas, blocks and all, across runs. Because alloc zeroes
+// every slice it hands out, nothing one run leaves in a block is visible to
+// the next.
+var arenas = sync.Pool{New: func() any { return new(arena) }}
 
 type arenaMark struct{ bi, top int }
 
@@ -165,7 +172,7 @@ type cvm struct {
 	obsLast   machine.Counters
 	obsStack  []int
 
-	arena     arena
+	arena     *arena
 	frames    []*cframe
 	epochs    map[epochKey]*fnEpoch
 	epochHot  []epochHot
@@ -174,7 +181,7 @@ type cvm struct {
 	// Open-coded Data8 probe state (machine.MRUView): the live TLB and L1D
 	// tag arrays plus lookup geometry, cached here so fastData8 inlines
 	// into the dispatch loop. Slice identities are stable for the machine's
-	// lifetime (Flush clears in place).
+	// lifetime (Flush and Reset clear in place).
 	tlbTags, l1dTags   []uint64
 	tlbShift, l1dShift uint
 	tlbMask, l1dMask   uint64
@@ -203,8 +210,12 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 		maxSteps:  opts.MaxSteps,
 		interrupt: opts.Interrupt,
 		rec:       opts.Record,
+		arena:     arenas.Get().(*arena),
 		epochs:    make(map[epochKey]*fnEpoch),
 	}
+	// A trapped run unwinds without releasing its frames.
+	en.arena.release(arenaMark{})
+	defer arenas.Put(en.arena)
 	en.epochHot = make([]epochHot, len(m.Funcs))
 	en.rearmStop()
 	en.tlbTags, en.tlbShift, en.tlbMask, en.tlbWays = opts.Machine.TLB.MRUView()

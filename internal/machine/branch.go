@@ -98,3 +98,10 @@ func (bp *BranchPredictor) Flush() {
 		bp.btbTags[i] = 0
 	}
 }
+
+// reset returns the predictor to its NewBranchPredictor state.
+func (bp *BranchPredictor) reset() {
+	bp.Flush()
+	clear(bp.btb)
+	bp.ResetCounters()
+}

@@ -137,6 +137,13 @@ func (c *Cache) Flush() {
 // ResetCounters zeroes the hit/miss/eviction counters.
 func (c *Cache) ResetCounters() { c.Hits, c.Misses, c.Evictions = 0, 0, 0 }
 
+// reset returns the cache to its NewCache state, clearing tags in place.
+func (c *Cache) reset() {
+	clear(c.tags)
+	c.ResetCounters()
+	c.Gen = 0
+}
+
 // NewTLB builds a TLB: a cache whose "lines" are pages.
 func NewTLB(entries, ways int) *Cache {
 	c := NewCache(CacheConfig{

@@ -164,8 +164,8 @@ func (m *Machine) Data8(a mem.Addr) {
 // MRUView exposes the lookup geometry of the cache's MRU way so the
 // compiled engine can open-code Data8's resident-line probe inside its own
 // dispatch loop (a cross-package call cannot inline). The returned tag
-// array is the live one and its identity is stable — Flush clears it in
-// place — so a caller may hold it for the Machine's lifetime. The probe
+// array is the live one and its identity is stable — Flush and Reset clear
+// it in place — so a caller may hold it for the Machine's lifetime. The probe
 // contract is the one Data8's fast path relies on: for a non-straddling
 // address a, if tags[(a>>lineShift&setMask)*ways] == a>>lineShift|1<<63 in
 // both the TLB and the L1D, the access is a pair of MRU hits whose only

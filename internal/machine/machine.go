@@ -173,6 +173,23 @@ func New(cfg Config) *Machine {
 	}
 }
 
+// Reset returns the machine to the state New left it in: empty caches and
+// TLB, zeroed statistics and Gen counters, a power-on branch predictor, and
+// identity physical translation. Tables are cleared in place, so slices
+// MRUView returned stay valid. A run on a reset machine is bit-identical to
+// a run on a new one, so callers may reuse machines across runs instead of
+// allocating their tables afresh.
+func (m *Machine) Reset() {
+	m.Cycles, m.Instructions = 0, 0
+	for _, c := range [...]*Cache{m.L1I, m.L1D, m.L2, m.L3, m.TLB} {
+		c.reset()
+	}
+	m.BP.reset()
+	m.frames = nil
+	m.frameRNG = nil
+	m.frameCache = [frameCacheLen]frameCacheEntry{}
+}
+
 // Retire charges the base cost for n retired instructions.
 func (m *Machine) Retire(n uint64) {
 	m.Instructions += n

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -206,5 +207,52 @@ func TestCore2Config(t *testing.T) {
 	}
 	if m.ClockHz != 2.4e9 {
 		t.Fatal("wrong clock")
+	}
+}
+
+// TestResetMatchesNew drives every table and counter of a machine away
+// from its initial state, then requires Reset to leave the machine deeply
+// equal, unexported fields included, to a new one. Tag arrays must be
+// cleared in place: a slice MRUView returned before Reset still aliases the
+// live array after it.
+func TestResetMatchesNew(t *testing.T) {
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "core2": Core2Config()} {
+		m := New(cfg)
+		tlbTags, _, _, _ := m.TLB.MRUView()
+		l1dTags, _, _, _ := m.L1D.MRUView()
+
+		m.SetPhysicalSeed(42)
+		drive := func(base mem.Addr) {
+			for i := mem.Addr(0); i < 4096; i++ {
+				a := base + i*4160 // strides across sets and pages
+				m.Data(a, 8)
+				m.Data8(a + 60) // straddles a line
+				m.Fetch(a+1<<20, 24)
+				m.FetchPre(m.PrepareFetch(a+2<<20, 100, nil))
+				m.CondBranch(a, i%3 == 0)
+				m.IndirectBranch(a, a+mem.Addr(i%5)<<33) // some targets above 4 GiB
+			}
+			m.Retire(100)
+			m.Stall(7)
+		}
+		drive(0x10000)
+		m.L1D.Flush()
+		m.L3.Flush()
+		m.BP.Flush()
+		drive(0x7f0000)
+		if m.Cycles == 0 || m.L3.Misses == 0 || m.BP.TargetMispredicts == 0 || len(m.frames) == 0 {
+			t.Fatalf("%s: drive left state untouched", name)
+		}
+
+		m.Reset()
+		if !reflect.DeepEqual(m, New(cfg)) {
+			t.Errorf("%s: Reset machine differs from New(cfg)", name)
+		}
+		if got, _, _, _ := m.TLB.MRUView(); &got[0] != &tlbTags[0] {
+			t.Errorf("%s: Reset replaced the TLB tag array", name)
+		}
+		if got, _, _, _ := m.L1D.MRUView(); &got[0] != &l1dTags[0] {
+			t.Errorf("%s: Reset replaced the L1D tag array", name)
+		}
 	}
 }
