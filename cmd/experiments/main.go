@@ -31,11 +31,12 @@
 // results are bit-identical at every worker count because each run is fully
 // determined by its seed.
 //
-// Long campaigns are crash-safe: with -checkpoint (or -resume) every
-// completed cell is flushed to disk, the first SIGINT/SIGTERM drains
-// in-flight cells and checkpoints them before exiting with status 130, and
-// -resume <dir> replays completed cells — same-seed determinism makes the
-// resumed output byte-identical to an uninterrupted run.
+// Long campaigns are crash-safe: with -checkpoint (or -resume) the
+// directory is a result store (internal/store) and every completed cell is
+// written to it, the first SIGINT/SIGTERM drains in-flight cells and
+// stores them before exiting with status 130, and -resume <dir> replays
+// completed cells — same-seed determinism makes the resumed output
+// byte-identical to an uninterrupted run.
 package main
 
 import (
@@ -55,6 +56,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/oracle"
 	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 // experimentNames is the valid -only vocabulary; unknown names are rejected
@@ -78,8 +80,8 @@ func main() {
 	list := flag.Bool("list", false, "list the available experiments")
 	jobs := flag.Int("j", 0, "parallel workers (0 = $SZ_PARALLEL or GOMAXPROCS, 1 = sequential); identical results at any value")
 	progress := flag.Bool("progress", true, "write per-cell progress/throughput lines to stderr")
-	checkpoint := flag.String("checkpoint", "", "flush completed cells to this directory (crash-safe; enables -resume later)")
-	resume := flag.String("resume", "", "resume from this checkpoint directory, skipping completed cells (implies -checkpoint)")
+	checkpoint := flag.String("checkpoint", "", "store completed cells in this result-store directory (crash-safe; enables -resume later)")
+	resume := flag.String("resume", "", "resume from this result-store directory, skipping completed cells (implies -checkpoint)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell watchdog deadline (0 = derive from -scale, negative = off)")
 	retries := flag.Int("retries", -1, "retries per cell after a transient failure or timeout (negative = default)")
 	verify := flag.Bool("verify-semantics", false, "pre-flight: run the semantic-invariance oracle over the suite before any experiment; abort on divergence")
@@ -164,7 +166,7 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 	}
 
 	// Fault-tolerance policy: watchdog deadline (after -quick has settled
-	// the scale), retry budget, shutdown signals, and the checkpoint.
+	// the scale), retry budget, shutdown signals, and the result store.
 	switch {
 	case *cellTimeout > 0:
 		experiment.SetCellTimeout(*cellTimeout)
@@ -185,14 +187,15 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 		}
 		ckptDir = *resume
 	}
-	var ckpt *experiment.Checkpoint
+	var ckpt *store.Store
 	if ckptDir != "" {
 		var err error
-		ckpt, err = experiment.OpenCheckpoint(ckptDir)
+		ckpt, err = store.Open(ckptDir)
 		if err != nil {
 			fail("%v", err)
 		}
-		ctx = experiment.WithCheckpoint(ctx, ckpt)
+		ckpt.Obs = experiment.Obs()
+		ctx = experiment.WithCellStore(ctx, ckpt.Cells(eng))
 	}
 
 	// Semantic-invariance pre-flight: the experiments measure *performance*
@@ -237,7 +240,7 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 	enabled := func(name string) bool { return len(want) == 0 || want[name] }
 
 	// report prints the end-of-campaign telemetry — cells that needed
-	// retries, checkpoint reuse — and flushes the -metrics/-trace/-log
+	// retries, stored and reused cells — and flushes the -metrics/-trace/-log
 	// artifacts. It runs on every exit path, so an interrupted or failed
 	// campaign still leaves its telemetry behind.
 	report := func() {
@@ -245,7 +248,7 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 			fmt.Fprint(os.Stderr, r)
 		}
 		if ckpt != nil {
-			stored, reused := ckpt.Stats()
+			reused, _, stored := ckpt.Stats()
 			fmt.Fprintf(os.Stderr, "checkpoint %s: %d cells stored, %d reused\n", ckpt.Dir(), stored, reused)
 		}
 		if err := flushObs(); err != nil {

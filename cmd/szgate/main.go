@@ -22,10 +22,10 @@
 // `run` writes an artifact; identical seeds give byte-identical artifacts at
 // any -j. With -store, completed cells also land in a content-addressed
 // result store (shared with the szfarm benchmarking farm) and reruns are
-// served from it; `compare -store` and `show -store` assemble an artifact
-// from such a store in store-only mode — byte-identical to the artifact
-// `run` would have written, so the gate verdict cannot depend on where the
-// samples came from. `compare` prints the gate table and distinguishes its exit codes
+// served from it, so an interrupted run resumes; `compare -store` and
+// `show -store` assemble an artifact from such a store in store-only mode
+// — byte-identical to the artifact `run` would have written, so the gate
+// verdict cannot depend on where the samples came from. `compare` prints the gate table and distinguishes its exit codes
 // so CI can tell a regression from a broken run: 0 means the gate passed,
 // 1 means it failed (a BH-corrected regression whose slowdown exceeds
 // -threshold), and 2 means an infrastructure error (unreadable artifact,
@@ -232,8 +232,7 @@ func cmdRun(args []string) error {
 	jobs := fs.Int("j", 0, "parallel workers (0 = $SZ_PARALLEL or GOMAXPROCS); identical artifacts at any value")
 	progress := fs.Bool("progress", true, "write per-cell progress lines to stderr")
 	commit := fs.String("commit", "", "commit label (default: git rev-parse --short HEAD, if available)")
-	checkpoint := fs.String("checkpoint", "", "flush completed cells to this directory and reuse them on rerun (crash-safe)")
-	storeDir := fs.String("store", "", "content-addressed result store directory: completed cells are stored, already-stored cells are served without recomputing")
+	storeDir := fs.String("store", "", "content-addressed result store directory: completed cells are stored, already-stored cells are served without recomputing (crash-safe: rerun with the same -store to resume)")
 	metricsOut := fs.String("metrics", "", "write an engine-metrics snapshot (JSON) to this file at exit; golden fields only, byte-identical at any -j")
 	metricsFull := fs.Bool("metrics-full", false, "include wall-clock histograms and gauges in -metrics (real but not reproducible)")
 	traceOut := fs.String("trace", "", "write engine spans as Chrome trace-event JSON to this file at exit")
@@ -278,18 +277,12 @@ func cmdRun(args []string) error {
 	}
 	ctx, stop := experiment.NotifyShutdown(context.Background(), os.Stderr)
 	defer stop()
-	if *checkpoint != "" {
-		cp, err := experiment.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			return err
-		}
-		ctx = experiment.WithCheckpoint(ctx, cp)
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
 			return err
 		}
+		st.Obs = experiment.Obs()
 		ctx = experiment.WithCellStore(ctx, st.Cells(cfg.Engine))
 	}
 	art, err := bench.Collect(ctx, bench.CollectOptions{
@@ -306,6 +299,9 @@ func cmdRun(args []string) error {
 		MaxRuns:   *maxRuns,
 		BatchRuns: *batch,
 	})
+	if errors.Is(err, experiment.ErrStopped) && *storeDir != "" {
+		fmt.Fprintf(os.Stderr, "szgate: completed cells are in %s; rerun with -store %s\n", *storeDir, *storeDir)
+	}
 	if err != nil {
 		return err
 	}

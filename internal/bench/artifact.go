@@ -126,8 +126,8 @@ func (a *Artifact) StripProvenance() {
 // MetricsSummary is the optional (schema ≥ 2) machine-counter aggregate of
 // a collection: every run's perf-stat snapshot summed over all benchmarks.
 // Sums of per-run counters are order-independent and the per-run counters
-// ride in checkpoint cell files, so the block is deterministic for a fixed
-// seed at any worker count and across checkpoint resumes — it is part of
+// ride in result-store blocks, so the block is deterministic for a fixed
+// seed at any worker count and across resumes from a store — it is part of
 // the golden artifact, unlike wall-clock telemetry.
 type MetricsSummary struct {
 	TotalRuns int              `json:"total_runs"`

@@ -13,7 +13,9 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
+	"repro/internal/interp"
 	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 const testScale = 0.05
@@ -372,9 +374,8 @@ func TestCollectValidatesOptions(t *testing.T) {
 // TestResumeArtifactByteIdentical is the end-to-end crash-safety
 // acceptance check at the artifact level: a collection drained mid-suite
 // (the first-SIGINT path, triggered deterministically via a fault hook),
-// then resumed against the same checkpoint directory at a different
-// worker count, must encode to exactly the bytes of an uninterrupted
-// collection.
+// then resumed against the same result store at a different worker
+// count, must encode to exactly the bytes of an uninterrupted collection.
 func TestResumeArtifactByteIdentical(t *testing.T) {
 	opts := CollectOptions{
 		Suite:  testSuite(t, "astar", "libquantum"),
@@ -394,11 +395,11 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	cp, err := experiment.OpenCheckpoint(dir)
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, drain := experiment.WithDrain(experiment.WithCheckpoint(context.Background(), cp))
+	ctx, drain := experiment.WithDrain(experiment.WithCellStore(context.Background(), st.Cells(interp.EngineCompiled)))
 	deactivate := faultinject.Activate(1, faultinject.Fault{
 		Site: faultinject.SiteCellStart, Nth: 1, Kind: faultinject.KindHook, Hook: drain,
 	})
@@ -407,16 +408,16 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	if !errors.Is(err, experiment.ErrStopped) {
 		t.Fatalf("drained collection returned %v, want ErrStopped", err)
 	}
-	if stored, _ := cp.Stats(); stored != 1 {
+	if _, _, stored := st.Stats(); stored != 1 {
 		t.Fatalf("drained collection stored %d cells, want 1 (the in-flight benchmark)", stored)
 	}
 
-	cp2, err := experiment.OpenCheckpoint(dir)
+	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	experiment.SetParallelism(4)
-	resumed, err := Collect(experiment.WithCheckpoint(context.Background(), cp2), opts)
+	resumed, err := Collect(experiment.WithCellStore(context.Background(), st2.Cells(interp.EngineCompiled)), opts)
 	if err != nil {
 		t.Fatalf("resumed collection failed: %v", err)
 	}
@@ -427,7 +428,7 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed artifact is not byte-identical to the uninterrupted one:\n%s\nvs\n%s", got, want)
 	}
-	if stored, reused := cp2.Stats(); stored != 1 || reused != 1 {
+	if reused, _, stored := st2.Stats(); stored != 1 || reused != 1 {
 		t.Errorf("resume stats stored=%d reused=%d, want 1/1", stored, reused)
 	}
 }

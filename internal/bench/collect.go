@@ -184,7 +184,7 @@ func collectOne(ctx context.Context, b spec.Benchmark, opts CollectOptions, met 
 				entry.HostSeconds = append(entry.HostSeconds, r.HostSeconds)
 			}
 		}
-		// Per-run counters are stored in checkpoint cells, so a resumed
+		// Per-run counters are stored in result-store blocks, so a resumed
 		// collection replays them and the summary stays byte-identical.
 		met.add(MetricsSummary{TotalRuns: len(ss.Results), Counters: ss.Counters})
 		return nil

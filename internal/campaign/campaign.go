@@ -97,8 +97,8 @@ func (s *Spec) Validate() error {
 }
 
 // Cells enumerates the campaign's cells in artifact order: one per
-// benchmark, each with its derived seed base, checkpoint-compatible cell
-// key, and engine-extended store key.
+// benchmark, each with its derived seed base, the cell key local
+// collection uses, and engine-extended store key.
 func (s *Spec) Cells() []CellSpec {
 	out := make([]CellSpec, 0, len(s.Benchmarks))
 	for _, name := range s.Benchmarks {
@@ -141,8 +141,9 @@ type CellSpec struct {
 	Bench    string `json:"bench"`
 	Runs     int    `json:"runs"`
 	SeedBase uint64 `json:"seed_base"`
-	// CellKey is the checkpoint-compatible fingerprint; StoreKey extends it
-	// with the engine tag and semantics generation (store addressing).
+	// CellKey is local collection's fingerprint (experiment.CellKey);
+	// StoreKey extends it with the engine tag and semantics generation
+	// (store addressing).
 	CellKey  string `json:"cell_key"`
 	StoreKey string `json:"store_key"`
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -145,6 +147,67 @@ func TestFarmByteIdentity(t *testing.T) {
 		if got := c.metrics().Counter("campaign.leases.granted").Value(); got != uint64(resp.Cells) {
 			t.Fatalf("leases granted = %d, want %d (resubmission must not dispatch)", got, resp.Cells)
 		}
+	}
+}
+
+// TestResubmitHealsDamagedBlock truncates one stored block of a finished
+// campaign and submits the campaign again. The submit probe rejects the
+// block, a worker recomputes the cell, and the recomputed block must
+// replace the damaged one: the artifact is byte-identical to the local
+// collection rather than failing on a cell missing from the store.
+func TestResubmitHealsDamagedBlock(t *testing.T) {
+	spec := testSpec()
+	opts, err := spec.CollectOptions()
+	if err != nil {
+		t.Fatalf("collect options: %v", err)
+	}
+	art, err := bench.Collect(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("local collect: %v", err)
+	}
+	baseline, err := art.Encode()
+	if err != nil {
+		t.Fatalf("encode baseline: %v", err)
+	}
+
+	_, st, client := newFarm(t, CoordinatorOptions{Obs: obs.NewScope()})
+	if _, err := client.Submit(context.Background(), spec); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	runWorkers(t, client, 1)
+	blocks, err := filepath.Glob(filepath.Join(st.Dir(), "blocks", "*", "*.json"))
+	if err != nil || len(blocks) != len(spec.Benchmarks) {
+		t.Fatalf("blocks %v (err %v), want one per benchmark", blocks, err)
+	}
+	buf, err := os.ReadFile(blocks[0])
+	if err != nil {
+		t.Fatalf("read block: %v", err)
+	}
+	if err := os.WriteFile(blocks[0], buf[:len(buf)/2], 0o644); err != nil {
+		t.Fatalf("truncate block: %v", err)
+	}
+
+	resp, err := client.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if resp.StoreHits != resp.Cells-1 {
+		t.Fatalf("resubmit store hits=%d of %d cells, want all but the damaged one", resp.StoreHits, resp.Cells)
+	}
+	runWorkers(t, client, 1)
+	status, err := client.WaitDone(context.Background(), resp.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if status.State != StateDone {
+		t.Fatalf("resubmitted campaign state %q: %+v", status.State, status)
+	}
+	merged, err := client.Artifact(context.Background(), resp.ID)
+	if err != nil {
+		t.Fatalf("artifact: %v", err)
+	}
+	if !bytes.Equal(merged, baseline) {
+		t.Fatalf("healed artifact differs from local collection\nfarm:\n%s\nlocal:\n%s", merged, baseline)
 	}
 }
 
@@ -329,7 +392,7 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestCellsMatchLocalDerivation checks the coordinator shards with exactly
-// the local collection's seed derivation and checkpoint key.
+// the local collection's seed derivation and cell key.
 func TestCellsMatchLocalDerivation(t *testing.T) {
 	spec := testSpec()
 	cells := spec.Cells()

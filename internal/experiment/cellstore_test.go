@@ -13,10 +13,11 @@ import (
 	"repro/internal/spec"
 )
 
-// TestCellKeyNoDrift pins the satellite guarantee that checkpoint keys and
-// store keys share one definition: the unexported method the checkpoint
-// layer uses and the exported CellKey helper must agree on every
-// configuration shape that changes the fingerprint.
+// TestCellKeyNoDrift pins the one fingerprint that collection and the
+// farm share: collection keys a cell by its compiled Config, the campaign
+// coordinator by the Config as submitted, and the two must agree on every
+// configuration shape that changes the fingerprint — while distinct shapes
+// never collide.
 func TestCellKeyNoDrift(t *testing.T) {
 	b, _ := spec.ByName("astar")
 	stab := core.AllRandomizations(0)
@@ -41,10 +42,10 @@ func TestCellKeyNoDrift(t *testing.T) {
 			runs int
 			base uint64
 		}{{3, 7}, {8, 900913}} {
-			got := cc.cellKey(rc.runs, rc.base)
+			got := CellKey(cc.Bench.Name, cc.Cfg, rc.runs, rc.base)
 			want := CellKey(b.Name, cfg, rc.runs, rc.base)
 			if got != want {
-				t.Errorf("cfg %d: key drift:\n  checkpoint: %s\n  exported:   %s", i, got, want)
+				t.Errorf("cfg %d: key drift:\n  compiled:  %s\n  submitted: %s", i, got, want)
 			}
 			if seen[got] {
 				t.Errorf("cfg %d: key %q collides with another test configuration", i, got)
@@ -160,33 +161,5 @@ func TestStoreOnlyMiss(t *testing.T) {
 	}
 	if len(ss.Seconds) != 4 {
 		t.Fatalf("store-only collect returned %d samples, want 4", len(ss.Seconds))
-	}
-}
-
-// TestCheckpointWritesThroughToStore asserts that a checkpoint hit
-// populates the result store, so resumed local campaigns feed the farm.
-func TestCheckpointWritesThroughToStore(t *testing.T) {
-	b, _ := spec.ByName("astar")
-	cc, err := CompileBench(b, Config{Scale: 0.05})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	cp, err := OpenCheckpoint(t.TempDir())
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	// First pass: checkpoint only.
-	if _, err := cc.Collect(WithCheckpoint(context.Background(), cp), 3, 50); err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	// Second pass: checkpoint + empty store. The cell must come from the
-	// checkpoint and be written through to the store.
-	src := newMemSource()
-	ctx := WithCellStore(WithCheckpoint(context.Background(), cp), src)
-	if _, err := cc.Collect(ctx, 3, 50); err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	if src.stores != 1 {
-		t.Fatalf("checkpoint hit did not write through to store (stores=%d)", src.stores)
 	}
 }

@@ -1,8 +1,8 @@
 package experiment
 
 // Recovery-path tests: every failure mode the engine claims to survive —
-// worker panics, injected transient faults, watchdog timeouts, checkpoint
-// store failures — is exercised here, mostly through the deterministic
+// worker panics, injected transient faults, watchdog timeouts, cell-store
+// write failures — is exercised here, mostly through the deterministic
 // fault-injection harness (internal/faultinject). CI runs these (plus the
 // resume tests) as a dedicated job: -run 'Fault|Panic|Resume'.
 

@@ -13,9 +13,10 @@ import (
 
 // ErrStopped is returned by sweeps that stopped early because a drain was
 // requested (first SIGINT/SIGTERM, or a test-driven stop). Cells finished
-// before the drain are flushed to the checkpoint, so a rerun with -resume
-// picks up where the sweep left off. Pool.ForEach treats it as "stop
-// dispatching" rather than "cancel everything".
+// before the drain are written to the sweep's cell store (WithCellStore),
+// so a rerun against the same store picks up where the sweep left off.
+// Pool.ForEach treats it as "stop dispatching" rather than "cancel
+// everything".
 var ErrStopped = errors.New("experiment: sweep stopped early (drained); rerun with -resume to continue")
 
 // drainFlag is the raisable stop request carried through a context.
@@ -41,7 +42,7 @@ func Draining(ctx context.Context) bool {
 
 // NotifyShutdown installs the shutdown policy for long sweeps: the first
 // SIGINT/SIGTERM raises the drain flag — in-flight cells finish, their
-// results are checkpointed, and the sweep returns ErrStopped — while a
+// results are stored, and the sweep returns ErrStopped — while a
 // second signal cancels the context outright. Progress notes go to w
 // (nil silences them). The returned stop function releases the signal
 // handler and cancels the context; defer it.

@@ -132,7 +132,7 @@ func TestWarnCellRoutesToLogger(t *testing.T) {
 	scope := withScope(t)
 	var buf bytes.Buffer
 	scope.Log = obs.NewLogger(&buf, obs.LevelInfo)
-	warnCell("astar -O2 native", "experiment: checkpoint cell: %v", "disk full")
+	warnCell("astar -O2 native", "experiment: result store: %v", "disk full")
 	line := buf.String()
 	if !strings.Contains(line, `"level":"warn"`) ||
 		!strings.Contains(line, `"cell":"astar -O2 native"`) ||
@@ -144,33 +144,8 @@ func TestWarnCellRoutesToLogger(t *testing.T) {
 	var plain bytes.Buffer
 	SetProgress(&plain)
 	defer SetProgress(nil)
-	warnCell("astar -O2 native", "experiment: checkpoint cell: %v", "disk full")
+	warnCell("astar -O2 native", "experiment: result store: %v", "disk full")
 	if !strings.Contains(plain.String(), "[astar -O2 native]") {
 		t.Errorf("fallback warnCell line missing cell label: %s", plain.String())
-	}
-}
-
-// TestPoolScopedProgressWriter covers the WithProgress satellite: each
-// pool writes its own stream, nil explicitly silences, and the deprecated
-// global remains the fallback.
-func TestPoolScopedProgressWriter(t *testing.T) {
-	var global, local bytes.Buffer
-	SetProgress(&global)
-	defer SetProgress(nil)
-
-	p := NewPool(2)
-	if got := p.progressDest(); got != &global {
-		t.Errorf("pool without own writer should fall back to the global")
-	}
-	pl := p.WithProgress(&local)
-	if got := pl.progressDest(); got != &local {
-		t.Errorf("WithProgress writer not used")
-	}
-	if got := p.progressDest(); got != &global {
-		t.Errorf("WithProgress mutated the receiver")
-	}
-	silent := p.WithProgress(nil)
-	if got := silent.progressDest(); got != nil {
-		t.Errorf("WithProgress(nil) should silence the pool, got %v", got)
 	}
 }

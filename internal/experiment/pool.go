@@ -60,13 +60,9 @@ var (
 )
 
 // SetProgress directs per-cell progress/throughput lines (runs completed,
-// runs/sec, ETA) to w for pools without their own writer. nil (the
-// default) disables them.
-//
-// Deprecated: the global writer makes concurrently running pools (parallel
-// tests, nested sweeps) interleave their lines. Give each pool its own
-// writer with Pool.WithProgress instead; this shim remains as the fallback
-// for pools that never got one.
+// runs/sec, ETA) and plain-text cell warnings to w. nil (the default)
+// disables progress lines. Sweeps build their pools internally, so this
+// process-wide writer is the one place a CLI can route them.
 func SetProgress(w io.Writer) {
 	progressMu.Lock()
 	progressW = w
@@ -81,9 +77,7 @@ func progressWriter() io.Writer {
 
 // Pool executes indexed work items across a fixed set of goroutines.
 type Pool struct {
-	workers     int
-	progress    io.Writer
-	hasProgress bool // distinguishes "explicitly disabled (nil)" from "unset"
+	workers int
 }
 
 // NewPool builds a pool with the given worker count; workers <= 0 uses the
@@ -93,25 +87,6 @@ func NewPool(workers int) *Pool {
 		workers = Parallelism()
 	}
 	return &Pool{workers: workers}
-}
-
-// WithProgress returns a copy of the pool whose progress lines go to w —
-// w == nil explicitly silences the pool, overriding the deprecated global
-// SetProgress fallback. The receiver is unchanged.
-func (p *Pool) WithProgress(w io.Writer) *Pool {
-	q := *p
-	q.progress = w
-	q.hasProgress = true
-	return &q
-}
-
-// progressDest resolves this pool's progress writer: its own if one was
-// set (even nil), else the deprecated global.
-func (p *Pool) progressDest() io.Writer {
-	if p.hasProgress {
-		return p.progress
-	}
-	return progressWriter()
 }
 
 // Workers returns the pool's worker count.
@@ -182,7 +157,7 @@ func (p *Pool) forEach(parent context.Context, label string, n int, fn func(ctx 
 	if n <= 0 {
 		return parent.Err()
 	}
-	prog := p.newProgress(label, n)
+	prog := newProgress(label, n)
 	met := obsMetrics()
 	met.Counter("pool.cells.started").Inc()
 	met.Gauge("pool.workers").Set(float64(p.workers))
@@ -281,8 +256,8 @@ type progress struct {
 // progressEvery throttles reporting; quick cells stay silent.
 const progressEvery = 500 * time.Millisecond
 
-func (p *Pool) newProgress(label string, total int) *progress {
-	w := p.progressDest()
+func newProgress(label string, total int) *progress {
+	w := progressWriter()
 	if w == nil || label == "" {
 		return nil
 	}

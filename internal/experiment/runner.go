@@ -53,17 +53,18 @@ type Config struct {
 	Profile bool
 	// Engine selects the interpreter execution engine (default compiled;
 	// walk is the differential reference). Both engines produce identical
-	// samples — the cross-engine oracle axis enforces it — so the engine is
-	// deliberately not part of cellKey: a checkpoint collected under one
-	// engine replays correctly under the other. Only host-side throughput
-	// (RunResult.HostSeconds) differs.
+	// samples — the cross-engine oracle axis enforces it — and only
+	// host-side throughput (RunResult.HostSeconds) differs. CellKey leaves
+	// the engine out, but the result store's key adds it (store.Extend), so
+	// a sweep resumed under the other engine recomputes its cells instead
+	// of replaying them.
 	Engine interp.Engine
 	// Throughput enables host wall-clock measurement of each interpreter
 	// run (RunResult.HostSeconds). Off by default: host time is the one
 	// nondeterministic quantity a run can carry, so golden collections keep
 	// it zeroed and stay bit-identical across re-runs. Throughput cells get
-	// their own checkpoint key — a replay reports the stored host time
-	// rather than silently serving zeros from a golden cell.
+	// their own cell key — a replay reports the stored host time rather
+	// than silently serving zeros from a golden cell.
 	Throughput bool
 }
 
@@ -314,15 +315,8 @@ func (c *Compiled) cellLabel() string {
 	return fmt.Sprintf("%s %s %s", c.Bench.Name, c.Cfg.Level, rt)
 }
 
-// cellKey fingerprints the cell for checkpointing. It delegates to the
-// exported CellKey so checkpoint keys and result-store keys provably share
-// one definition (a drift test pins the equivalence).
-func (c *Compiled) cellKey(runs int, seedBase uint64) string {
-	return CellKey(c.Bench.Name, c.Cfg, runs, seedBase)
-}
-
 // sampleSetFrom rebuilds a SampleSet from per-run results (fresh or
-// replayed from a checkpoint — the two are indistinguishable).
+// served from a cell store — the two are indistinguishable).
 func sampleSetFrom(results []RunResult) *SampleSet {
 	ss := &SampleSet{Seconds: make([]float64, len(results)), Results: results}
 	for i := range results {
@@ -339,8 +333,8 @@ func sampleSetFrom(results []RunResult) *SampleSet {
 // error is returned.
 //
 // Collect is the fault-tolerance boundary of the engine. If ctx carries a
-// checkpoint (WithCheckpoint), a completed cell is replayed from disk and
-// a fresh one is flushed on success. If ctx carries a raised drain flag
+// cell store (WithCellStore), a stored cell is served from it and a fresh
+// one is written back on success. If ctx carries a raised drain flag
 // (NotifyShutdown's first signal), the cell is not started and ErrStopped
 // is returned. A cell that fails with a transient error or a watchdog
 // timeout (SetCellTimeout) is retried with capped backoff up to
@@ -354,29 +348,18 @@ func (c *Compiled) collect(ctx context.Context, pool *Pool, runs int, seedBase u
 	label := c.cellLabel()
 	endSpan := obsTrace().Span("cell", label, map[string]any{"runs": runs})
 	defer endSpan()
-	cp := CheckpointFrom(ctx)
 	cs := CellStoreFrom(ctx)
-	key := c.cellKey(runs, seedBase)
+	key := CellKey(c.Bench.Name, c.Cfg, runs, seedBase)
 	if cs != nil {
-		if results := cs.Lookup(key, runs, seedBase); results != nil {
+		endLookup := obsTrace().Span("cellstore", "lookup", nil)
+		results := cs.Lookup(key, runs, seedBase)
+		endLookup()
+		if results != nil {
 			obsMetrics().Counter("cellstore.hits").Inc()
 			obsLog().Info("cell served from result store", obsF("cell", label), obsF("runs", runs))
 			return sampleSetFrom(results), nil
 		}
 		obsMetrics().Counter("cellstore.misses").Inc()
-	}
-	if cp != nil {
-		if results := cp.Lookup(key, runs, seedBase); results != nil {
-			obsLog().Info("cell replayed from checkpoint", obsF("cell", label), obsF("runs", runs))
-			// Write a checkpoint hit through to the result store so resumed
-			// local campaigns populate the shared store too.
-			if cs != nil {
-				if serr := cs.Store(ctx, key, runs, seedBase, results); serr != nil {
-					warnCell(label, "experiment: result store: %v (cell stays checkpoint-local)", serr)
-				}
-			}
-			return sampleSetFrom(results), nil
-		}
 	}
 	if StoreOnly(ctx) {
 		return nil, &StoreMissError{Label: label, Key: key}
@@ -403,14 +386,9 @@ func (c *Compiled) collect(ctx context.Context, pool *Pool, runs int, seedBase u
 		ss, err := c.collectOnce(ctx, pool, label, attempt, runs, seedBase)
 		if err == nil {
 			recordAttempts(label, attempts)
-			if cp != nil {
-				if serr := cp.Store(ctx, key, runs, seedBase, ss.Results); serr != nil {
-					warnCell(label, "experiment: checkpoint cell: %v (cell will re-run on resume)", serr)
-				}
-			}
 			if cs != nil {
-				if serr := cs.Store(ctx, key, runs, seedBase, ss.Results); serr != nil {
-					warnCell(label, "experiment: result store: %v (cell will re-run next campaign)", serr)
+				if serr := storeCell(ctx, cs, key, runs, seedBase, ss.Results); serr != nil {
+					warnCell(label, "experiment: result store: %v (cell will re-run next time)", serr)
 				}
 			}
 			obsLog().Info("cell collected", obsF("cell", label), obsF("runs", runs), obsF("attempts", attempts))
@@ -434,6 +412,24 @@ func (c *Compiled) collect(ctx context.Context, pool *Pool, runs int, seedBase u
 	recordAttempts(label, attempts)
 	obsLog().Error("cell failed", obsF("cell", label), obsF("attempts", attempts), obsF("err", fmt.Sprint(lastErr)))
 	return nil, &CellError{Label: label, Attempts: attempts, Err: lastErr}
+}
+
+// storeCell writes a freshly computed cell back to its cell store. The
+// write is best effort for every CellSource: an error, or a panic
+// recovered into one, only costs a recompute next time, so the caller
+// warns and the sweep carries on.
+func storeCell(ctx context.Context, cs CellSource, key string, runs int, seedBase uint64, results []RunResult) (err error) {
+	done := obsTrace().Span("cellstore", "store", nil)
+	defer done()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("write panicked: %v", r)
+		}
+	}()
+	if err := faultinject.Hit(ctx, faultinject.SiteCellStore); err != nil {
+		return err
+	}
+	return cs.Store(ctx, key, runs, seedBase, results)
 }
 
 // collectOnce is one collection attempt of the cell under the watchdog

@@ -32,8 +32,9 @@ const (
 	SiteCellStart = "cell.start"
 	// SiteCompileCache is hit inside the compile cache, before compiling.
 	SiteCompileCache = "compile.cache"
-	// SiteCheckpointStore is hit before a checkpoint cell file is written.
-	SiteCheckpointStore = "checkpoint.store"
+	// SiteCellStore is hit before a computed cell is written back to the
+	// cell store (experiment.WithCellStore).
+	SiteCellStore = "cellstore.store"
 )
 
 // Instrumented protocol sites in the campaign farm. Client-side net.* sites

@@ -25,7 +25,7 @@ type TraceEvent struct {
 }
 
 // Tracer records spans on the wall clock for the engine's compile / cell /
-// checkpoint / verify phases. Spans get distinct tid lanes so overlapping
+// cellstore / verify phases. Spans get distinct tid lanes so overlapping
 // work renders as parallel rows in Perfetto. Wall-clock traces are
 // non-golden by nature: load them to see where a campaign spent its time,
 // not to diff across runs. A nil *Tracer is inert.

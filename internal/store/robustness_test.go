@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,6 +89,57 @@ func TestRebuildQuarantinesBadBlocks(t *testing.T) {
 		if _, err := os.Stat(q); err != nil {
 			t.Fatalf("damaged block not quarantined at %s: %v", q, err)
 		}
+	}
+}
+
+// TestResumeReplacesDamagedBlock damages a stored block three ways. Each
+// time Get must miss and move the block into quarantine, so that the Put
+// of the recomputed cell lands and the next Get hits. A damaged block left
+// in its slot would make Put's exists check keep it, and the cell would
+// miss on every resume until a GC or index rebuild.
+func TestResumeReplacesDamagedBlock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	key := KeyFor("astar", experiment.Config{Scale: 0.1}, 3, 7)
+	want := fakeResults(3)
+	if err := s.Put(key, 3, 7, want); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	path := s.blockPath(key)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read block: %v", err)
+	}
+	quarantined := filepath.Join(dir, "quarantine", filepath.Base(path))
+	for _, damage := range []struct {
+		name string
+		buf  []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"not json", []byte("{not json")},
+		{"foreign schema", []byte(`{"schema": 99, "key": "x"}`)},
+	} {
+		if err := os.WriteFile(path, damage.buf, 0o644); err != nil {
+			t.Fatalf("%s: damage block: %v", damage.name, err)
+		}
+		if s.Get(key, 3, 7) != nil {
+			t.Fatalf("%s block served results", damage.name)
+		}
+		if err := s.Put(key, 3, 7, want); err != nil {
+			t.Fatalf("%s: put: %v", damage.name, err)
+		}
+		if got := s.Get(key, 3, 7); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: get after put = %+v, want the stored results", damage.name, got)
+		}
+		if q, err := os.ReadFile(quarantined); err != nil || !bytes.Equal(q, damage.buf) {
+			t.Fatalf("%s: quarantine holds %q (%v), want the damaged block", damage.name, q, err)
+		}
+	}
+	if hits, misses, puts := s.Stats(); hits != 3 || misses != 3 || puts != 4 {
+		t.Fatalf("stats hits=%d misses=%d puts=%d, want 3/3/4", hits, misses, puts)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package store is the content-addressed result store of the benchmarking
 // farm: a directory of immutable sample blocks, one per experimental cell,
 // addressed by the cell's configuration fingerprint. The fingerprint is the
-// engine's own cell key (experiment.CellKey — the same definition
-// checkpoints use) extended with the interpreter engine tag and the
-// simulator's SemanticsGeneration, so a long-lived store shared across
-// campaigns, users, and builds never serves results whose meaning has
-// drifted.
+// engine's own cell key (experiment.CellKey) extended with the interpreter
+// engine tag and the simulator's SemanticsGeneration, so a long-lived store
+// shared across campaigns, users, and builds never serves results whose
+// meaning has drifted. The same store is a local sweep's resume directory
+// (`experiments -checkpoint`, `szgate run -store`).
 //
 // Determinism is what makes the store sound: a cell key fully determines
 // its samples, so serving a stored block is indistinguishable from
@@ -24,7 +24,8 @@
 //
 // Block files are written atomically (temp + rename) and carry an integrity
 // hash over their canonical payload; a corrupt, truncated, mismatched, or
-// foreign-schema block degrades to a miss, never to wrong data. The index
+// foreign-schema block degrades to a miss, never to wrong data, and is
+// quarantined so the recomputed cell's Put replaces it. The index
 // is an advisory accelerator for humans and tooling (`szfarm status`, the
 // CI artifact upload): lookups never trust it. It is an append-only log —
 // a {"schema":2} header line, then one IndexEntry line per Put, the last
@@ -42,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -78,7 +80,7 @@ func KeyFor(benchName string, cfg experiment.Config, runs int, seedBase uint64) 
 	return Extend(experiment.CellKey(benchName, cfg, runs, seedBase), cfg.Engine)
 }
 
-// Extend turns a checkpoint cell key into a store key. Both engines
+// Extend turns a cell key into a store key. Both engines
 // provably collect identical samples (the cross-engine differential suite),
 // but a shared store is longer-lived than that proof: keeping hits within
 // one engine means a future engine bug can never cross-contaminate stored
@@ -260,7 +262,9 @@ func benchOf(key string) string {
 // failure mode — missing file, corrupt JSON, schema or integrity mismatch,
 // foreign key in the slot, wrong run range — is a miss with a warning,
 // never an error: re-collection is deterministic, so dropping a bad block
-// is always safe.
+// is always safe. A block that fails verification or holds a foreign key
+// is moved into quarantine, so the Put that follows the recompute writes
+// a fresh block into its slot instead of finding the damaged one there.
 func (s *Store) Get(key string, runs int, seedBase uint64) []experiment.RunResult {
 	path := s.blockPath(key)
 	miss := func() []experiment.RunResult {
@@ -270,42 +274,22 @@ func (s *Store) Get(key string, runs int, seedBase uint64) []experiment.RunResul
 		s.metrics().Counter("store.get.misses").Inc()
 		return nil
 	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.warnf("%s: %v (treated as a miss)", path, err)
-		}
+	e, results, err := readBlock(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
 		return miss()
-	}
-	var f blockFile
-	if err := json.Unmarshal(buf, &f); err != nil {
-		s.warnf("%s: corrupt block: %v (treated as a miss)", path, err)
+	case err != nil:
+		s.warnf("%s: %v (quarantining; treated as a miss)", path, err)
+		s.quarantine(path)
 		return miss()
-	}
-	if f.Schema != BlockSchema {
-		s.warnf("%s: block schema %d, this build reads %d (treated as a miss)", path, f.Schema, BlockSchema)
-		return miss()
-	}
-	canon, err := canonicalPayload(f.Payload)
-	if err != nil {
-		s.warnf("%s: %v (treated as a miss)", path, err)
-		return miss()
-	}
-	if got := hashHex(canon); got != f.SHA256 {
-		s.warnf("%s: integrity hash mismatch (stored %s, computed %s; treated as a miss)", path, f.SHA256, got)
-		return miss()
-	}
-	var p blockPayload
-	if err := json.Unmarshal(canon, &p); err != nil {
-		s.warnf("%s: corrupt payload: %v (treated as a miss)", path, err)
-		return miss()
-	}
-	if p.Key != key {
+	case e.Key != key:
 		// SHA-256 collision or a foreign file copied into the slot.
-		s.warnf("%s: block holds key %q, wanted %q (treated as a miss)", path, p.Key, key)
+		s.warnf("%s: block holds key %q, wanted %q (quarantining; treated as a miss)", path, e.Key, key)
+		s.quarantine(path)
 		return miss()
-	}
-	if p.Runs != runs || p.SeedBase != seedBase || len(p.Results) != runs {
+	case e.Runs != runs || e.SeedBase != seedBase || len(results) != runs:
+		// The block is intact and in its own slot; the query is what
+		// disagrees with it.
 		s.warnf("%s: run range mismatch (treated as a miss)", path)
 		return miss()
 	}
@@ -313,12 +297,14 @@ func (s *Store) Get(key string, runs int, seedBase uint64) []experiment.RunResul
 	s.hits++
 	s.mu.Unlock()
 	s.metrics().Counter("store.get.hits").Inc()
-	return p.Results
+	return results
 }
 
 // Put stores a completed cell atomically and appends its index entry.
 // Writing an existing key is a no-op (blocks are immutable; determinism
-// means the incumbent is as good as the newcomer).
+// means the incumbent is as good as the newcomer). A damaged incumbent
+// does not stay in the way: the Get that rejects it, which collection runs
+// before computing a cell, moves it into quarantine.
 func (s *Store) Put(key string, runs int, seedBase uint64, results []experiment.RunResult) error {
 	if len(results) != runs {
 		return fmt.Errorf("store: put %q: %d results for %d runs", key, len(results), runs)
@@ -494,42 +480,57 @@ type scannedBlock struct {
 	IndexEntry
 }
 
-// scanBlocks walks the block tree and verifies every block file: schema,
-// canonical payload and integrity hash. It returns the intact blocks and
-// the number of damaged ones — unreadable, foreign, or corrupt — which it
-// moves into <dir>/quarantine/ unless dryRun, so that a later Put of the
-// same key is not blocked by Put's exists-check short-circuit. Only a
-// failed directory walk is an error. GC and the index rebuild both judge
-// blocks here, so they never disagree about what is on disk.
+// readBlock reads one block file and verifies its schema, canonical
+// payload and integrity hash. Get, the index rebuild and GC all judge
+// blocks here, so they never disagree about which blocks are damaged. The
+// entry describes the block as the index would list it.
+func readBlock(path string) (IndexEntry, []experiment.RunResult, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return IndexEntry{}, nil, err
+	}
+	var f blockFile
+	if err := json.Unmarshal(buf, &f); err != nil {
+		return IndexEntry{}, nil, fmt.Errorf("corrupt block: %w", err)
+	}
+	if f.Schema != BlockSchema {
+		return IndexEntry{}, nil, fmt.Errorf("block schema %d, this build reads %d", f.Schema, BlockSchema)
+	}
+	canon, err := canonicalPayload(f.Payload)
+	if err != nil {
+		return IndexEntry{}, nil, err
+	}
+	if got := hashHex(canon); got != f.SHA256 {
+		return IndexEntry{}, nil, fmt.Errorf("integrity hash mismatch (stored %s, computed %s)", f.SHA256, got)
+	}
+	var p blockPayload
+	if err := json.Unmarshal(canon, &p); err != nil {
+		return IndexEntry{}, nil, fmt.Errorf("corrupt payload: %w", err)
+	}
+	return IndexEntry{
+		Key: p.Key, Bench: p.Bench, Runs: p.Runs, SeedBase: p.SeedBase,
+		SHA256: f.SHA256, Size: int64(len(buf)),
+	}, p.Results, nil
+}
+
+// scanBlocks walks the block tree and verifies every block file with
+// readBlock. It returns the intact blocks and the number of damaged ones,
+// which it moves into <dir>/quarantine/ unless dryRun, so that a later Put
+// of the same key is not blocked by Put's exists-check short-circuit. Only
+// a failed directory walk is an error.
 func (s *Store) scanBlocks(op string, dryRun bool) (blocks []scannedBlock, damaged int, err error) {
 	var bad []string
 	err = filepath.WalkDir(filepath.Join(s.dir, "blocks"), func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
 			return err
 		}
-		buf, err := os.ReadFile(path)
+		e, _, err := readBlock(path)
 		if err != nil {
 			s.warnf("%s: %s: %v (quarantining)", op, path, err)
 			bad = append(bad, path)
 			return nil
 		}
-		var f blockFile
-		if err := json.Unmarshal(buf, &f); err != nil || f.Schema != BlockSchema {
-			s.warnf("%s: %s: unreadable or foreign block (quarantining)", op, path)
-			bad = append(bad, path)
-			return nil
-		}
-		var p blockPayload
-		canon, err := canonicalPayload(f.Payload)
-		if err != nil || json.Unmarshal(canon, &p) != nil || hashHex(canon) != f.SHA256 {
-			s.warnf("%s: %s: corrupt block (quarantining)", op, path)
-			bad = append(bad, path)
-			return nil
-		}
-		blocks = append(blocks, scannedBlock{path: path, IndexEntry: IndexEntry{
-			Key: p.Key, Bench: p.Bench, Runs: p.Runs, SeedBase: p.SeedBase,
-			SHA256: f.SHA256, Size: int64(len(buf)),
-		}})
+		blocks = append(blocks, scannedBlock{path: path, IndexEntry: e})
 		return nil
 	})
 	if err != nil {
