@@ -39,10 +39,10 @@
 // same flags would have written — no matter how many workers computed the
 // cells or how many came from prior store hits.
 //
-// The coordinator persists campaign state under <store>/campaigns/ on every
-// transition: a crashed (even kill -9'd) coordinator restarted against the
-// same -store resumes its open campaigns with no lost or double-counted
-// cells. Two serve processes may share one -store for high availability:
+// The coordinator journals every campaign transition to an append-only log
+// under <store>/campaigns/: a crashed (even kill -9'd) coordinator
+// restarted against the same -store replays it and resumes its open
+// campaigns with no lost or double-counted cells. Two serve processes may share one -store for high availability:
 // they race for the store's coordination lease, exactly one is active at a
 // time, and a killed active is replaced by its standby within ~2× the
 // -coord-ttl — clients and workers given the comma-separated server list

@@ -209,14 +209,20 @@ func retryableError(err error) bool {
 }
 
 // doJSON performs a JSON exchange with retries. The site names this
-// exchange for fault injection. A retryable failure against a multi-server
-// list triggers a coordinator reprobe before the next attempt, so a
-// failover (dead active, promoted standby) resolves inside the ordinary
-// retry budget.
+// exchange for fault injection.
 func (c *Client) doJSON(ctx context.Context, site, method, path string, in, out any) error {
+	return c.retry(ctx, func() error { return c.doJSONOnce(ctx, site, method, path, in, out) })
+}
+
+// retry runs an exchange until it succeeds, fails definitively, or runs
+// out of attempts. A retryable failure against a multi-server list
+// triggers a coordinator reprobe before the next attempt, so a failover
+// (dead active, promoted standby) resolves inside the ordinary retry
+// budget.
+func (c *Client) retry(ctx context.Context, once func() error) error {
 	attempts := c.maxAttempts()
 	for attempt := 0; ; attempt++ {
-		err := c.doJSONOnce(ctx, site, method, path, in, out)
+		err := once()
 		if err == nil || attempt >= attempts-1 || !retryableError(err) || ctx.Err() != nil {
 			return err
 		}
@@ -286,7 +292,14 @@ func (c *Client) exchange(ctx context.Context, method, path string, in, out any,
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// Read what the caller does not decode (every Complete, Heartbeat and
+	// Release reply, every error reply) before closing: Go's transport
+	// keeps the connection for the next exchange only after the body
+	// reached EOF. The bound keeps a misbehaving server from stalling us.
+	defer func() {
+		io.CopyN(io.Discard, resp.Body, 64<<10)
+		resp.Body.Close()
+	}()
 	c.observe(resp)
 	if torn {
 		return fmt.Errorf("campaign: %s %s: injected torn response", method, path)
@@ -387,7 +400,17 @@ func (c *Client) ArtifactProvenance(ctx context.Context, id string) ([]byte, err
 	return c.artifact(ctx, id, "?provenance=1")
 }
 
-func (c *Client) artifact(ctx context.Context, id, query string) ([]byte, error) {
+// artifact fetches the artifact bytes as served, with the retry and
+// failover policy of every other exchange.
+func (c *Client) artifact(ctx context.Context, id, query string) (buf []byte, err error) {
+	err = c.retry(ctx, func() error {
+		buf, err = c.artifactOnce(ctx, id, query)
+		return err
+	})
+	return buf, err
+}
+
+func (c *Client) artifactOnce(ctx context.Context, id, query string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+"/v1/campaigns/"+id+"/artifact"+query, nil)
 	if err != nil {
 		return nil, err

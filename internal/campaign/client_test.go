@@ -1,9 +1,17 @@
 package campaign
 
 import (
+	"context"
+	"errors"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // TestParseRetryAfter pins both RFC 9110 Retry-After forms — delay-seconds
@@ -53,5 +61,79 @@ func TestClientServerListParsing(t *testing.T) {
 	single := NewClient("http://only:3")
 	if got := single.base(); got != "http://only:3" {
 		t.Fatalf("single-server base = %q", got)
+	}
+}
+
+// TestClientReusesConnection: every exchange — including the replies the
+// client does not decode (heartbeat, complete, release) and error replies
+// — leaves the connection reusable, so one client talks to the coordinator
+// over one TCP connection.
+func TestClientReusesConnection(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	c, err := NewCoordinator(CoordinatorOptions{Store: st, Obs: obs.NewScope()})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(c.Handler())
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	client := NewClient(ts.URL)
+	client.HTTP = &http.Client{Transport: &http.Transport{}}
+	ctx := context.Background()
+
+	sp := testSpec()
+	sp.Benchmarks = []string{"astar", "bzip2", "mcf", "milc"}
+	if _, err := client.Submit(ctx, sp); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for i := range sp.Benchmarks {
+		grant, err := client.Acquire(ctx, "w")
+		if err != nil || grant.Lease == nil {
+			t.Fatalf("cell %d: acquire %+v, %v", i, grant, err)
+		}
+		if ok, err := client.Heartbeat(ctx, grant.Lease.ID); !ok || err != nil {
+			t.Fatalf("cell %d: heartbeat %v, %v", i, ok, err)
+		}
+		if ok, err := client.Release(ctx, grant.Lease.ID, "w"); !ok || err != nil {
+			t.Fatalf("cell %d: release %v, %v", i, ok, err)
+		}
+		if ok, err := client.Heartbeat(ctx, grant.Lease.ID); ok || err != nil { // 410 Gone
+			t.Fatalf("cell %d: heartbeat of a released lease %v, %v", i, ok, err)
+		}
+		if grant, err = client.Acquire(ctx, "w"); err != nil || grant.Lease == nil {
+			t.Fatalf("cell %d: second acquire %+v, %v", i, grant, err)
+		}
+		if err := client.Complete(ctx, grant.Lease.ID, CompleteRequest{Worker: "w", Results: fakeResults(sp.Runs)}); err != nil {
+			t.Fatalf("cell %d: complete: %v", i, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d exchanges over %d connections, want 1", 1+6*len(sp.Benchmarks), n)
+	}
+}
+
+// TestClientArtifactFailsOver: an artifact fetch whose first listed server
+// is down reprobes the list and reaches the live coordinator, like every
+// other exchange — here its definitive 409 for a campaign it does not
+// know, not the dead server's connection error.
+func TestClientArtifactFailsOver(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	_, _, live := newFarm(t, CoordinatorOptions{Obs: obs.NewScope()})
+	client := NewClient(dead.URL + "," + live.Server)
+	client.RetryBase = time.Millisecond
+	_, err := client.Artifact(context.Background(), "c0042")
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("artifact with the first server down: %v, want the live coordinator's 409", err)
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -156,6 +157,22 @@ type campaignState struct {
 	// artifact caches the merged artifact bytes once assembled.
 	events   *eventRing
 	artifact []byte
+
+	// The journal (persist.go): batch queues the event lines of the
+	// transition in progress until flushLocked renders them and appends
+	// them in one write; seq numbers the campaign's last journal record;
+	// snapshotDue makes the next commit write a snapshot document.
+	batch       []pendingEvent
+	seq         uint64
+	snapshotDue bool
+}
+
+// pendingEvent is one queued journal line: a coordinator event, or a
+// worker-forwarded line (raw, already one compact line).
+type pendingEvent struct {
+	msg    string
+	fields []obs.Field
+	raw    []byte
 }
 
 // eventRing is a bounded event log with a monotonic cursor: the last cap
@@ -220,7 +237,7 @@ type lease struct {
 // coordination.
 type Coordinator struct {
 	opts     CoordinatorOptions
-	area     *store.StateArea // durable campaign documents (campaigns/ beside blocks/)
+	area     *store.StateArea // campaign journals and snapshots (campaigns/ beside blocks/)
 	eventCap int
 
 	mu        sync.Mutex
@@ -305,46 +322,29 @@ func (c *Coordinator) logger() *obs.Logger {
 	return nil
 }
 
-// event appends a JSONL line in the obs wire format to the campaign's
-// event log, mirrors it to the coordinator log, and journals it to the
-// durable per-campaign event log beside the campaign document. Lines
-// carry a wall-clock timestamp (t_wall_ns_nongolden) so the timeline can
-// order them; the ring stays the bounded live-follow surface while the
-// journal is what `szfarm timeline` reads across restarts, failovers,
-// and ring wraps. Must be called with c.mu held.
+// eventLocked queues a JSONL line in the obs wire format for the
+// transition in progress on camp and mirrors it to the coordinator log.
+// The transition's commit (commitLocked, or flushLocked for submit and
+// restore) renders the queued lines with a wall-clock timestamp
+// (t_wall_ns_nongolden) so the timeline can order them, pushes them into
+// the ring — the bounded live-follow surface — and appends them to the
+// durable journal, which is what restore replays and `szfarm timeline`
+// reads across restarts, failovers, and ring wraps. Must be called with
+// c.mu held.
 func (c *Coordinator) eventLocked(camp *campaignState, msg string, fields ...obs.Field) {
-	var line lineBuffer
-	lg := obs.NewLogger(&line, obs.LevelInfo).WallClock().With(obs.F("campaign", camp.id))
-	lg.Info(msg, fields...)
-	camp.events.append(line.line)
-	c.appendEventJournalLocked(camp, line.line)
+	camp.batch = append(camp.batch, pendingEvent{msg: msg, fields: fields})
 	c.logger().Info(msg, append([]obs.Field{obs.F("campaign", camp.id)}, fields...)...)
-	c.cond.Broadcast()
 }
 
-// appendEventJournalLocked writes one event line to the campaign's
-// durable log, fenced like every other shared-store write: a deposed
-// coordinator must not interleave its lines with the successor's. Append
-// failures are counted, not fatal — the journal is observability, and
-// losing a line must never fail the scheduling operation that emitted it.
-func (c *Coordinator) appendEventJournalLocked(camp *campaignState, line []byte) {
-	if c.area == nil {
-		return
-	}
-	if c.opts.Fence != nil && c.opts.Fence.Check() != nil {
-		c.metrics().Counter("campaign.events.unjournaled").NonGolden().Inc()
-		return
-	}
-	if err := c.area.AppendLog(camp.id+".events", line); err != nil {
-		c.metrics().Counter("campaign.events.unjournaled").NonGolden().Inc()
-	}
+// lineBuffer collects logger lines and where each one ends.
+type lineBuffer struct {
+	buf  []byte
+	ends []int
 }
-
-// lineBuffer captures a single logger line.
-type lineBuffer struct{ line []byte }
 
 func (b *lineBuffer) Write(p []byte) (int, error) {
-	b.line = append(b.line, p...)
+	b.buf = append(b.buf, p...)
+	b.ends = append(b.ends, len(b.buf))
 	return len(p), nil
 }
 
@@ -457,12 +457,14 @@ func (c *Coordinator) Submit(spec Spec) (id string, cells, hits int, err error) 
 		obs.F("runs", spec.Runs), obs.F("seed", spec.Seed),
 		obs.F("tenant", camp.tenant), obs.F("trace", camp.trace))
 	c.refreshLocked(camp)
+	c.flushLocked(camp, nil)
 	c.persistLocked(camp)
 	return camp.id, len(camp.cells), hits, nil
 }
 
-// refreshLocked recomputes a campaign's terminal state and, on completion,
-// emits the completion event. Must be called with c.mu held.
+// refreshLocked recomputes a campaign's terminal state and, on reaching
+// one, emits the terminal event and makes the transition's commit write a
+// snapshot. Must be called with c.mu held.
 func (c *Coordinator) refreshLocked(camp *campaignState) {
 	if camp.state != StateRunning {
 		return
@@ -473,6 +475,7 @@ func (c *Coordinator) refreshLocked(camp *campaignState) {
 		case cellFailed:
 			camp.state = StateFailed
 			camp.err = fmt.Sprintf("cell %s failed after %d attempts: %s", cell.Bench, cell.attempts, cell.err)
+			camp.snapshotDue = true
 			c.eventLocked(camp, "campaign failed", obs.F("cell", cell.Bench), obs.F("err", cell.err))
 			return
 		case cellDone:
@@ -481,9 +484,9 @@ func (c *Coordinator) refreshLocked(camp *campaignState) {
 	}
 	if done == len(camp.cells) {
 		camp.state = StateDone
+		camp.snapshotDue = true
 		c.eventLocked(camp, "campaign complete", obs.F("cells", done))
 	}
-	c.cond.Broadcast()
 }
 
 // expireLocked requeues cells whose leases have missed their deadline.
@@ -501,16 +504,20 @@ func (c *Coordinator) expireLocked() {
 		l.expired = true
 		c.metrics().Counter("campaign.heartbeats.missed").Inc()
 		c.metrics().Counter("campaign.leases.expired").Inc()
+		span := obs.SpanID(l.campaign.id, l.cell.Bench, l.attempt)
 		if l.cell.state != cellLeased || l.cell.lease != id {
-			c.persistLocked(l.campaign) // journal the retirement itself
-			continue                    // cell already completed by a late post or re-lease
+			// The cell already completed by a late post or moved to another
+			// lease: journal the retirement itself.
+			c.eventLocked(l.campaign, "lease retired (cell already resolved)", obs.F("cell", l.cell.Bench),
+				obs.F("worker", l.worker), obs.F("trace", l.campaign.trace), obs.F("span", span))
+			c.commitLocked(l.campaign, l.cell, l)
+			continue
 		}
 		c.eventLocked(l.campaign, "lease expired", obs.F("cell", l.cell.Bench),
 			obs.F("worker", l.worker), obs.F("attempt", l.cell.attempts),
-			obs.F("trace", l.campaign.trace),
-			obs.F("span", obs.SpanID(l.campaign.id, l.cell.Bench, l.attempt)))
+			obs.F("trace", l.campaign.trace), obs.F("span", span))
 		c.requeueLocked(l.campaign, l.cell, "lease expired (worker presumed dead)")
-		c.persistLocked(l.campaign)
+		c.commitLocked(l.campaign, l.cell, l)
 	}
 }
 
@@ -578,7 +585,7 @@ func (c *Coordinator) Acquire(worker string) AcquireResponse {
 	grant, remaining := c.scheduleLocked(worker)
 	resp := AcquireResponse{Remaining: remaining}
 	if grant != nil {
-		c.persistLocked(grant.campaign)
+		c.commitLocked(grant.campaign, grant.cell, grant)
 		resp.Lease = &Lease{
 			ID:         grant.id,
 			Campaign:   grant.campaign.id,
@@ -697,7 +704,6 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 		return fmt.Errorf("campaign: unknown or expired lease %d", leaseID)
 	}
 	camp, cell := l.campaign, l.cell
-	delete(c.leases, leaseID)
 	// The attempt's trace identity: headers/body win, the lease is the
 	// fallback, so even a bare post lands in the right trace.
 	trace, span := req.Trace, req.Span
@@ -707,21 +713,10 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 	if span == "" {
 		span = obs.SpanID(camp.id, cell.Bench, l.attempt)
 	}
-	for _, raw := range req.Events {
-		line := append(append([]byte(nil), raw...), '\n')
-		camp.events.append(line)
-		c.appendEventJournalLocked(camp, line)
-	}
-	if sr := req.SpanRecord; sr != nil {
-		// The worker's timing record becomes a first-class event so the
-		// timeline can draw the worker-side span without a second channel.
-		c.eventLocked(camp, "cell span", obs.F("cell", cell.Bench),
-			obs.F("worker", req.Worker), obs.F("attempt", l.attempt),
-			obs.F("trace", trace), obs.F("span", span),
-			obs.F("start_unix_ns", sr.StartUnixNs), obs.F("end_unix_ns", sr.EndUnixNs))
-	}
 
 	if req.Error != "" {
+		delete(c.leases, leaseID)
+		c.forwardLocked(camp, cell, &req, l.attempt, trace, span)
 		c.eventLocked(camp, "cell failed on worker", obs.F("cell", cell.Bench),
 			obs.F("worker", req.Worker), obs.F("err", req.Error),
 			obs.F("trace", trace), obs.F("span", span))
@@ -729,7 +724,7 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 			c.requeueLocked(camp, cell, req.Error)
 		}
 		c.recordIdemLocked(req.IdempotencyKey, "")
-		c.persistLocked(camp)
+		c.commitLocked(camp, cell, l)
 		c.mu.Unlock()
 		return nil
 	}
@@ -741,9 +736,10 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 	}
 	// Persist outside the scheduling decision but inside one logical
 	// completion: the store write is what makes the cell durable. A crash
-	// between the Put and the state journal below loses only the
+	// between the Put and the journal append below loses only the
 	// transition, never the work — restart recovers the cell as done from
 	// the store block itself.
+	delete(c.leases, leaseID)
 	storeKey, runs, seedBase := cell.StoreKey, cell.Runs, cell.SeedBase
 	c.mu.Unlock()
 	// The fencing epoch is re-verified immediately before the store write:
@@ -755,12 +751,19 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 		return err
 	}
 	if err := c.opts.Store.Put(storeKey, runs, seedBase, req.Results); err != nil {
-		// Deliberately not recorded under the idempotency key: a retry of
-		// this post should retry the store write.
+		// Deliberately not recorded under the idempotency key, and the
+		// lease goes back into the table: a retry of this post retries the
+		// store write.
+		c.mu.Lock()
+		if _, taken := c.leases[leaseID]; !taken {
+			c.leases[leaseID] = l
+		}
+		c.mu.Unlock()
 		return fmt.Errorf("campaign: storing cell %s: %w", cell.Bench, err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.forwardLocked(camp, cell, &req, l.attempt, trace, span)
 	if cell.state != cellDone {
 		cell.state = cellDone
 		cell.err = ""
@@ -784,10 +787,37 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 			obs.F("worker", req.Worker), obs.F("runs", runs),
 			obs.F("trace", trace), obs.F("span", span))
 		c.refreshLocked(camp)
+	} else {
+		c.eventLocked(camp, "late completion ignored (cell already done)", obs.F("cell", cell.Bench),
+			obs.F("worker", req.Worker), obs.F("trace", trace), obs.F("span", span))
 	}
 	c.recordIdemLocked(req.IdempotencyKey, "")
-	c.persistLocked(camp)
+	c.commitLocked(camp, cell, l)
 	return nil
+}
+
+// forwardLocked queues a completion's worker telemetry — each line
+// compacted to exactly one journal line — and the worker's span record as
+// a "cell span" event, so the timeline can draw the worker-side span
+// without a second channel. A worker line that is not JSON, or that
+// carries the journal's record field, is rejected and counted: only the
+// coordinator writes scheduling state. Must hold c.mu.
+func (c *Coordinator) forwardLocked(camp *campaignState, cell *cellState, req *CompleteRequest, attempt int, trace, span string) {
+	for _, raw := range req.Events {
+		var line bytes.Buffer
+		if err := json.Compact(&line, raw); err != nil || hasRecordField(line.Bytes()) {
+			c.metrics().Counter("campaign.events.rejected").NonGolden().Inc()
+			continue
+		}
+		line.WriteByte('\n')
+		camp.batch = append(camp.batch, pendingEvent{raw: line.Bytes()})
+	}
+	if sr := req.SpanRecord; sr != nil {
+		c.eventLocked(camp, "cell span", obs.F("cell", cell.Bench),
+			obs.F("worker", req.Worker), obs.F("attempt", attempt),
+			obs.F("trace", trace), obs.F("span", span),
+			obs.F("start_unix_ns", sr.StartUnixNs), obs.F("end_unix_ns", sr.EndUnixNs))
+	}
 }
 
 // Release hands a leased cell back to the queue without burning one of its
@@ -815,8 +845,13 @@ func (c *Coordinator) Release(leaseID uint64, worker string) bool {
 			obs.F("cell", l.cell.Bench), obs.F("worker", worker),
 			obs.F("trace", l.campaign.trace),
 			obs.F("span", obs.SpanID(l.campaign.id, l.cell.Bench, l.attempt)))
+	} else {
+		c.eventLocked(l.campaign, "lease released (cell already resolved)",
+			obs.F("cell", l.cell.Bench), obs.F("worker", worker),
+			obs.F("trace", l.campaign.trace),
+			obs.F("span", obs.SpanID(l.campaign.id, l.cell.Bench, l.attempt)))
 	}
-	c.persistLocked(l.campaign)
+	c.commitLocked(l.campaign, l.cell, l)
 	return true
 }
 

@@ -258,7 +258,7 @@ func (w *Worker) computeCell(ctx context.Context, l *Lease) ([]experiment.RunRes
 		obs.F("worker", w.Name), obs.F("cell", l.Bench), obs.F("runs", l.Runs),
 		obs.F("trace", l.Trace), obs.F("span", l.Span),
 		obs.F("host_seconds_nongolden", time.Since(start).Seconds()))
-	return ss.Results, []json.RawMessage{json.RawMessage(trimNL(line.line))}, nil
+	return ss.Results, []json.RawMessage{json.RawMessage(trimNL(line.buf))}, nil
 }
 
 func trimNL(b []byte) []byte {

@@ -105,18 +105,24 @@ func (a *StateArea) List() ([]string, error) {
 	return names, nil
 }
 
-// AppendLog appends one line to the named append-only log, stored as
-// <name>.jsonl beside the area's documents (the .jsonl suffix keeps logs
-// out of List, which only returns .json documents). Unlike Save, appends
-// are not atomic — a crash can tear the final line — so LoadLog drops an
-// unterminated tail. The coordinator's durable per-campaign event
-// journal lives here: it is what lets `szfarm timeline` reconstruct a
-// campaign across restarts, failovers, and event-ring wraps.
-func (a *StateArea) AppendLog(name string, line []byte) error {
+// AppendLog appends to the named append-only log, stored as <name>.jsonl
+// beside the area's documents (the .jsonl suffix keeps logs out of List,
+// which only returns .json documents). lines may hold several
+// newline-terminated lines: they go out in one O_APPEND write, so they
+// land together and after every earlier append. Unlike Save, appends are
+// not atomic — a crash can tear the final line — so LoadLog drops an
+// unterminated tail and RepairLog cuts it off before the next append.
+// Nothing here calls fsync: an append survives the writer's death, not a
+// power loss. The coordinator's per-campaign journal lives here: it is
+// the source of truth for the campaign's scheduling state (replayed on
+// top of the snapshot document at restart), and what lets `szfarm
+// timeline` reconstruct a campaign across restarts, failovers, and
+// event-ring wraps.
+func (a *StateArea) AppendLog(name string, lines []byte) error {
 	if err := validStateName(name); err != nil {
 		return err
 	}
-	if err := appendLine(filepath.Join(a.dir, name+".jsonl"), line); err != nil {
+	if err := appendLine(filepath.Join(a.dir, name+".jsonl"), lines); err != nil {
 		return fmt.Errorf("store: appending log %s: %w", name, err)
 	}
 	return nil
@@ -137,6 +143,28 @@ func (a *StateArea) LoadLog(name string) ([]byte, error) {
 		return nil, fmt.Errorf("store: loading log %s: %w", name, err)
 	}
 	return buf, nil
+}
+
+// RepairLog cuts a torn final line — the crash window AppendLog
+// documents — off the named log, so the next append starts on a line
+// boundary instead of gluing itself onto the fragment. A missing or
+// intact log is left alone.
+func (a *StateArea) RepairLog(name string) error {
+	if err := validStateName(name); err != nil {
+		return err
+	}
+	path := filepath.Join(a.dir, name+".jsonl")
+	buf, torn, err := readLines(path)
+	if os.IsNotExist(err) || (err == nil && !torn) {
+		return nil
+	}
+	if err == nil {
+		err = os.Truncate(path, int64(len(buf)))
+	}
+	if err != nil {
+		return fmt.Errorf("store: repairing log %s: %w", name, err)
+	}
+	return nil
 }
 
 // Delete removes one document; deleting a missing document is a no-op.

@@ -402,11 +402,11 @@ func atomicWrite(path string, buf []byte) error {
 	return nil
 }
 
-// appendLine appends one newline-terminated line to the log at path,
-// creating the file if needed. The line goes out in one O_APPEND write, so
-// appends from several handles or processes on a local file system land
-// whole and one after another. A crash can still tear the final line,
-// which readLines reports.
+// appendLine appends newline-terminated lines (usually one) to the log at
+// path, creating the file if needed. The buffer goes out in one O_APPEND
+// write, so appends from several handles or processes on a local file
+// system land whole and one after another. A crash can still tear the
+// final line, which readLines reports.
 func appendLine(path string, line []byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
