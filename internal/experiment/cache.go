@@ -116,7 +116,10 @@ func CompileCacheEvictions() (evictions, poisoned uint64) {
 	return compileCache.evictions, compileCache.poisoned
 }
 
-// ResetCompileCache drops every cached module and zeroes the stats.
+// ResetCompileCache drops every cached module and zeroes the stats. The
+// compiled engine memoizes its lowered code on the module it ran, so once
+// no run still holds a dropped module, the garbage collector frees its
+// compiled and its lowered code together.
 func ResetCompileCache() {
 	compileCache.mu.Lock()
 	defer compileCache.mu.Unlock()

@@ -92,23 +92,11 @@ func (a *arena) alloc(n int) []uint64 {
 	}
 }
 
-// epochKey identifies one layout epoch of one function: the code base plus
-// the identity of the block-offset permutation the runtime handed out.
-// core's permuteBlocks allocates a fresh offsets slice per copy and never
-// mutates it afterwards (activations snapshot it), so the first element's
-// address identifies the permutation — and, being reachable from the key,
-// stays alive for exactly as long as the cache entry, so the address cannot
-// be recycled out from under us.
-type epochKey struct {
-	fn       int
-	codeBase mem.Addr
-	offs     *uint64
-}
-
 // fnEpoch is the per-epoch precomputation for one function: each block's
 // resolved PC and terminator PC, plus its instruction-fetch lines with
 // set-index/tag lookups memoized (machine.PrepareFetch). Only a
-// re-randomization boundary — a new epochKey — pays this cost again.
+// re-randomization boundary — a new (codeBase, offsets) snapshot — pays this
+// cost again.
 type fnEpoch struct {
 	blocks []epochBlock
 	lines  []machine.PreLine
@@ -130,13 +118,9 @@ type epochBlock struct {
 	l1iGen uint64
 }
 
-// epochCacheCap bounds the per-run epoch cache. Eviction is safe — live
-// frames hold their own *fnEpoch — and only costs recomputation.
-const epochCacheCap = 1024
-
 // cvm is the compiled engine's per-run state: the same fields as the walk
-// engine's interp, plus the lowered module, arena, frame pool, and epoch
-// cache.
+// engine's interp, plus the lowered module, arena, frame pool, and each
+// function's current layout epoch.
 type cvm struct {
 	lm   *lowModule
 	m    *ir.Module
@@ -174,7 +158,6 @@ type cvm struct {
 
 	arena     *arena
 	frames    []*cframe
-	epochs    map[epochKey]*fnEpoch
 	epochHot  []epochHot
 	tickStack func() []mem.Addr
 
@@ -189,10 +172,15 @@ type cvm struct {
 	lineMask           uint64
 }
 
-// epochHot is a per-function one-entry epoch cache in front of the map:
-// between re-randomizations every call to a function sees the same
-// (codeBase, offsets) snapshot, so the common case is a pointer compare
-// instead of a map lookup.
+// epochHot is a function's current layout epoch. Between
+// re-randomizations every call to a function sees the same (codeBase,
+// offsets) snapshot, so the lookup is a pointer compare. A new snapshot
+// replaces the slot's epoch; returning to an older snapshot rebuilds it,
+// which is safe because live frames hold their own *fnEpoch. core's
+// permuteBlocks allocates a fresh offsets slice per copy and never mutates
+// it afterwards (activations snapshot it), so the first element's address
+// identifies the permutation — and, being held by the slot, cannot be
+// recycled while the slot compares against it.
 type epochHot struct {
 	codeBase mem.Addr
 	offs     *uint64
@@ -211,7 +199,6 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 		interrupt: opts.Interrupt,
 		rec:       opts.Record,
 		arena:     arenas.Get().(*arena),
-		epochs:    make(map[epochKey]*fnEpoch),
 	}
 	// A trapped run unwinds without releasing its frames.
 	en.arena.release(arenaMark{})
@@ -366,11 +353,6 @@ func (en *cvm) epochFor(lf *lowFunc, codeBase mem.Addr, blockOffs []uint64) *fnE
 	if h := &en.epochHot[lf.fn]; h.ep != nil && h.codeBase == codeBase && h.offs == op {
 		return h.ep
 	}
-	k := epochKey{fn: lf.fn, codeBase: codeBase, offs: op}
-	if ep, ok := en.epochs[k]; ok {
-		en.epochHot[lf.fn] = epochHot{codeBase: codeBase, offs: op, ep: ep}
-		return ep
-	}
 	ep := &fnEpoch{blocks: make([]epochBlock, len(lf.blocks))}
 	for bi := range lf.blocks {
 		b := &lf.blocks[bi]
@@ -390,10 +372,6 @@ func (en *cvm) epochFor(lf *lowFunc, codeBase mem.Addr, blockOffs []uint64) *fnE
 			l1iGen:   ^uint64(0),
 		}
 	}
-	if len(en.epochs) >= epochCacheCap {
-		clear(en.epochs)
-	}
-	en.epochs[k] = ep
 	en.epochHot[lf.fn] = epochHot{codeBase: codeBase, offs: op, ep: ep}
 	return ep
 }
@@ -884,9 +862,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 		case copLoadS:
 			addr := fr.frameBase + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				if !en.fastData8(addr) {
-					mach.Data8(addr)
-				}
+				mach.Data8(addr)
 			}
 			r[in.d] = fr.stack[in.x>>3]
 		case copLoadSF:

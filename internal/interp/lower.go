@@ -31,13 +31,14 @@
 //
 // Lowering is execution-independent: it captures only module constants,
 // never run state, so one lowered module is shared by every concurrent run
-// (the experiment pool's workers all execute the same *ir.Module). The
-// cache is bounded; eviction only costs re-lowering.
+// (the experiment pool's workers all execute the same *ir.Module). It is
+// memoized on the module it was lowered from, so it is built once and freed
+// together with that module.
 package interp
 
 import (
 	"math/bits"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/mem"
@@ -203,40 +204,21 @@ type lowTerm struct {
 	cmpDst, cmpA, cmpB int32
 }
 
-// Lowered modules are cached and shared across runs; the cache is bounded
-// so pathological module churn (fuzzing) cannot accumulate memory.
-var (
-	lowerMu    sync.Mutex
-	lowerCache = map[*ir.Module]*lowModule{}
-)
+// lowerings counts lowerModule calls; tests read it to check that a module
+// is lowered exactly once.
+var lowerings atomic.Uint64
 
-const lowerCacheCap = 256
-
-// lowered returns the module's flat form, lowering it on first use. Modules
-// are immutable after compilation (see experiment.Compiled), which is what
-// makes the cache sound.
+// lowered returns the module's flat form. It is built on the module's first
+// compiled run and memoized on the module (ir.Module.Lowered): every later
+// run shares it, concurrent first runs wait for the one build, and the
+// garbage collector frees it together with the module. A Clone is a new
+// module and is lowered afresh.
 func lowered(m *ir.Module) *lowModule {
-	lowerMu.Lock()
-	lm := lowerCache[m]
-	lowerMu.Unlock()
-	if lm != nil {
-		return lm
-	}
-	lm = lowerModule(m)
-	lowerMu.Lock()
-	if prev := lowerCache[m]; prev != nil {
-		lm = prev // another worker lowered it concurrently; share theirs
-	} else {
-		if len(lowerCache) >= lowerCacheCap {
-			clear(lowerCache)
-		}
-		lowerCache[m] = lm
-	}
-	lowerMu.Unlock()
-	return lm
+	return m.Lowered(func(m *ir.Module) any { return lowerModule(m) }).(*lowModule)
 }
 
 func lowerModule(m *ir.Module) *lowModule {
+	lowerings.Add(1)
 	lm := &lowModule{m: m, funcs: make([]*lowFunc, len(m.Funcs))}
 	for fi, f := range m.Funcs {
 		lm.funcs[fi] = lowerFunc(m, f, fi)

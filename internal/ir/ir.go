@@ -10,7 +10,10 @@
 // conversion outlining, stack pad instrumentation) are passes over this IR.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Reg is a virtual register index within a function. Registers hold 64-bit
 // values; integer instructions interpret them as int64, floating-point
@@ -201,6 +204,27 @@ type Module struct {
 	Name    string
 	Funcs   []*Function
 	Globals []Global
+
+	// lowered memoizes the compiled execution engine's form of the module
+	// (see Lowered). Clone does not copy it.
+	lowered struct {
+		once sync.Once
+		v    any
+	}
+}
+
+// Lowered returns the value build derives from m — the compiled execution
+// engine's lowered code — calling build on the first call only. Concurrent
+// first callers wait for that one build and share its result (sync.Once: if
+// build panics, later calls return nil). The value lives exactly as long as
+// m: the garbage collector frees it together with the module.
+//
+// Modules are immutable after compilation (compiler.Compile clones its input
+// and nothing downstream writes), which is what makes the memo sound: a
+// module must not be changed after its first Lowered call.
+func (m *Module) Lowered(build func(*Module) any) any {
+	m.lowered.once.Do(func() { m.lowered.v = build(m) })
+	return m.lowered.v
 }
 
 // FuncIndex returns the index of the named function, or -1.
