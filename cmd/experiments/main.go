@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/experiment"
-	"repro/internal/interp"
 	"repro/internal/oracle"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -91,7 +90,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write engine spans as Chrome trace-event JSON to this file at exit (open in ui.perfetto.dev)")
 	logOut := flag.String("log", "", "write the structured JSONL run log to this file")
 	logLevel := flag.String("log-level", "info", "minimum -log level: debug, info, warn, error")
-	engine := flag.String("engine", "", "interpreter engine: compiled (default) or walk; samples are identical, only host time differs")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -118,12 +116,6 @@ func main() {
 		}
 		verifyLevels = append(verifyLevels, lv)
 	}
-
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fail("%v", err)
-	}
-	experiment.SetDefaultEngine(eng)
 
 	experiment.SetParallelism(*jobs)
 	if *progress {
@@ -195,7 +187,7 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 			fail("%v", err)
 		}
 		ckpt.Obs = experiment.Obs()
-		ctx = experiment.WithCellStore(ctx, ckpt.Cells(eng))
+		ctx = experiment.WithCellStore(ctx, ckpt.Cells())
 	}
 
 	// Semantic-invariance pre-flight: the experiments measure *performance*

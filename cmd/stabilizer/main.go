@@ -30,7 +30,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/interp"
 	"repro/internal/profcli"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -63,7 +62,6 @@ func main() {
 	compare := flag.Bool("compare", false, "also run natively and report overhead")
 	counters := flag.Bool("counters", false, "print perf-stat-style machine counters for the last run")
 	profile := flag.Bool("profile", false, "print per-function cycle attribution for the last run")
-	engine := flag.String("engine", "", "interpreter engine: compiled (default) or walk")
 	flag.Parse()
 
 	experiment.SetParallelism(*jobs)
@@ -78,11 +76,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stabilizer: %v\n", err)
 		os.Exit(2)
 	}
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stabilizer: %v\n", err)
-		os.Exit(2)
-	}
 	if *all {
 		*code, *stack, *heapR, *rerand = true, true, true, true
 	}
@@ -91,7 +84,7 @@ func main() {
 		Code: *code, Stack: *stack, Heap: *heapR,
 		Rerandomize: *rerand, Interval: *interval,
 	}
-	cfg := experiment.Config{Scale: *scale, Level: optLevel, Noise: *noise, Profile: *profile, Engine: eng}
+	cfg := experiment.Config{Scale: *scale, Level: optLevel, Noise: *noise, Profile: *profile}
 	if *code || *stack || *heapR {
 		cfg.Stabilizer = opts
 	}
@@ -159,7 +152,7 @@ func main() {
 	}
 
 	if *compare {
-		nat, err := experiment.CompileBench(b, experiment.Config{Scale: *scale, Level: optLevel, Engine: eng})
+		nat, err := experiment.CompileBench(b, experiment.Config{Scale: *scale, Level: optLevel})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "stabilizer: %v\n", err)
 			os.Exit(1)

@@ -33,16 +33,15 @@ func parseLevels(s string) ([]compiler.OptLevel, error) {
 }
 
 // runVerify implements `stabilizer verify`: the semantic-invariance oracle
-// over the benchmark suite and the example programs. Exit status 1 means a
-// divergence or infrastructure failure (the report is printed), 2 a usage
-// error.
+// over the benchmark suite and the example programs, under both execution
+// engines. Exit status 1 means a divergence or infrastructure failure (the
+// report is printed), 2 a usage error.
 func runVerify(args []string) int {
 	fs := flag.NewFlagSet("stabilizer verify", flag.ExitOnError)
 	bench := fs.String("bench", "", "verify only this benchmark (default: full suite + examples)")
 	seeds := fs.Int("seeds", 3, "randomization seeds per cell axis")
 	levels := fs.String("O", "0,1,2,3", "comma-separated optimization levels to sweep")
 	allocs := fs.String("allocs", strings.Join(oracle.AllocatorNames, ","), "comma-separated heap allocators to sweep")
-	engines := fs.String("engines", "compiled,walk", "comma-separated execution engines to sweep")
 	scale := fs.Float64("scale", 0.1, "workload scale (verification sweeps many cells; keep small)")
 	jobs := fs.Int("j", 0, "parallel workers (0 = $SZ_PARALLEL or GOMAXPROCS)")
 	interval := fs.Uint64("interval", 0, "re-randomization interval in cycles (0 = oracle default)")
@@ -58,15 +57,6 @@ func runVerify(args []string) int {
 	var seedList []uint64
 	for i := 0; i < *seeds; i++ {
 		seedList = append(seedList, uint64(i+1))
-	}
-	var engList []interp.Engine
-	for _, part := range strings.Split(*engines, ",") {
-		eng, err := interp.ParseEngine(strings.TrimSpace(part))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stabilizer verify: %v\n", err)
-			return 2
-		}
-		engList = append(engList, eng)
 	}
 
 	benches := append(spec.FullSuite(), spec.Examples()...)
@@ -94,13 +84,12 @@ func runVerify(args []string) int {
 			Seeds:      seedList,
 			Levels:     lvs,
 			Allocators: strings.Split(*allocs, ","),
-			Engines:    engList,
 			Interval:   *interval,
 		},
 	}
 
 	fmt.Printf("verifying semantic invariance: %d programs x %d seeds x %d levels x %d allocators x %d engines\n",
-		len(benches), len(seedList), len(lvs), len(opts.Oracle.Allocators), len(engList))
+		len(benches), len(seedList), len(lvs), len(opts.Oracle.Allocators), len(interp.Engines()))
 	ctx, stop := experiment.NotifyShutdown(context.Background(), os.Stderr)
 	defer stop()
 	rep, err := experiment.VerifySemantics(ctx, benches, opts)

@@ -15,7 +15,7 @@
 //	                [-metrics-addr :9713]
 //	szfarm submit   -server url[,url...] [-runs n] [-scale f] [-seed n]
 //	                [-level 0..3] [-stabilize] [-noise f]
-//	                [-engine compiled|walk] [-bench name[,name...]] [-cxx]
+//	                [-bench name[,name...]] [-cxx]
 //	                [-commit sha] [-tenant name] [-wait [-o artifact.json]]
 //	szfarm status   -server url[,url...] [-id cNNNN] [-json]
 //	szfarm events   -server url -id cNNNN [-follow]
@@ -37,7 +37,10 @@
 // Campaign artifacts are assembled by the ordinary collection path in
 // store-only mode, so they are byte-identical to what `szgate run` with the
 // same flags would have written — no matter how many workers computed the
-// cells or how many came from prior store hits.
+// cells or how many came from prior store hits. A cell's key leaves the
+// interpreter engine out, so one block serves either engine; blocks older
+// builds wrote under engine-tagged keys are recomputed once, and `szfarm
+// gc` reclaims them.
 //
 // The coordinator journals every campaign transition to an append-only log
 // under <store>/campaigns/: a crashed (even kill -9'd) coordinator
@@ -73,7 +76,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -324,7 +326,6 @@ func cmdSubmit(args []string) error {
 	level := fs.Int("level", 2, "optimization level (0-3)")
 	stabilize := fs.Bool("stabilize", false, "run under full STABILIZER randomization")
 	noise := fs.Float64("noise", 0, "relative system-noise sigma (0 = default, negative disables)")
-	engine := fs.String("engine", "", "interpreter engine: compiled (default) or walk")
 	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all)")
 	cxx := fs.Bool("cxx", false, "include the five C++ benchmarks")
 	commit := fs.String("commit", "", "commit label for the merged artifact")
@@ -340,11 +341,7 @@ func cmdSubmit(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	cfg := experiment.Config{Scale: *scale, Level: optLevel, Noise: *noise, Engine: eng}
+	cfg := experiment.Config{Scale: *scale, Level: optLevel, Noise: *noise}
 	if *stabilize {
 		cfg.Stabilizer = &core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 25_000}
 	}

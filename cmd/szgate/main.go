@@ -25,11 +25,16 @@
 // served from it, so an interrupted run resumes; `compare -store` and
 // `show -store` assemble an artifact from such a store in store-only mode
 // — byte-identical to the artifact `run` would have written, so the gate
-// verdict cannot depend on where the samples came from. `compare` prints the gate table and distinguishes its exit codes
-// so CI can tell a regression from a broken run: 0 means the gate passed,
-// 1 means it failed (a BH-corrected regression whose slowdown exceeds
-// -threshold), and 2 means an infrastructure error (unreadable artifact,
-// schema mismatch, incomparable configurations). `show` summarizes one
+// verdict cannot depend on where the samples came from. A cell's key leaves
+// the interpreter engine out (both engines collect identical samples), so
+// a store's cells serve either engine, and `run -engine` is the only
+// engine flag: it matters only to -throughput host times, which the
+// throughput floor of `compare -min-ips-ratio` reads. `compare` prints the
+// gate table and distinguishes its exit codes so CI can tell a regression
+// from a broken run: 0 means the gate passed, 1 means it failed (a
+// BH-corrected regression whose slowdown exceeds -threshold), and 2 means
+// an infrastructure error (unreadable artifact, schema mismatch,
+// incomparable configurations). `show` summarizes one
 // artifact; `merge` combines artifacts collected under the same
 // configuration (extra samples must continue the seed range; disjoint
 // benchmark subsets just union).
@@ -114,7 +119,7 @@ Run 'szgate <subcommand> -h' for flags.
 }
 
 // specFlags are the flags that pin a collection's cells — everything a
-// store key is derived from. Shared by `run` (which computes the cells)
+// cell key is derived from. Shared by `run` (which computes the cells)
 // and the -store modes of compare/show (which assemble the same cells
 // from a content-addressed result store, so the flag names must agree).
 // seedName is "seed" except in compare, where -seed is already the
@@ -126,7 +131,6 @@ type specFlags struct {
 	level     *int
 	stabilize *bool
 	noise     *float64
-	engine    *string
 	benches   *string
 	cxx       *bool
 }
@@ -139,7 +143,6 @@ func addSpecFlags(fs *flag.FlagSet, seedName string) *specFlags {
 		level:     fs.Int("level", 2, "optimization level (0-3)"),
 		stabilize: fs.Bool("stabilize", false, "run under full STABILIZER randomization"),
 		noise:     fs.Float64("noise", 0, "relative system-noise sigma (0 = default, negative disables)"),
-		engine:    fs.String("engine", "", "interpreter engine: compiled (default) or walk"),
 		benches:   fs.String("bench", "", "comma-separated benchmark subset (default: all)"),
 		cxx:       fs.Bool("cxx", false, "include the five C++ benchmarks"),
 	}
@@ -157,11 +160,7 @@ func (f *specFlags) config() (experiment.Config, error) {
 	if *f.scale <= 0 {
 		return experiment.Config{}, fmt.Errorf("-scale %v: must be positive", *f.scale)
 	}
-	eng, err := interp.ParseEngine(*f.engine)
-	if err != nil {
-		return experiment.Config{}, err
-	}
-	cfg := experiment.Config{Scale: *f.scale, Level: optLevel, Noise: *f.noise, Engine: eng}
+	cfg := experiment.Config{Scale: *f.scale, Level: optLevel, Noise: *f.noise}
 	if *f.stabilize {
 		cfg.Stabilizer = &core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 25_000}
 	}
@@ -193,7 +192,7 @@ func storeArtifact(ctx context.Context, dir string, sf *specFlags, commit string
 	}
 	var missing []string
 	for _, b := range suite {
-		key := store.KeyFor(b.Name, cfg, *sf.runs, bench.SeedBase(*sf.seed, b.Name))
+		key := experiment.CellKey(b.Name, cfg, *sf.runs, bench.SeedBase(*sf.seed, b.Name))
 		if st.Get(key, *sf.runs, bench.SeedBase(*sf.seed, b.Name)) == nil {
 			missing = append(missing, key)
 		}
@@ -209,7 +208,7 @@ func storeArtifact(ctx context.Context, dir string, sf *specFlags, commit string
 		return nil, fmt.Errorf("store %s is missing %d of %d cells:\n  %s%s",
 			dir, len(missing), len(suite), strings.Join(listed, "\n  "), extra)
 	}
-	ctx = experiment.WithStoreOnly(experiment.WithCellStore(ctx, st.Cells(cfg.Engine)))
+	ctx = experiment.WithStoreOnly(experiment.WithCellStore(ctx, st.Cells()))
 	return bench.Collect(ctx, bench.CollectOptions{
 		Suite:  suite,
 		Config: cfg,
@@ -223,6 +222,7 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("szgate run", flag.ExitOnError)
 	out := fs.String("o", "bench.json", "output artifact path (- for stdout)")
 	sf := addSpecFlags(fs, "seed")
+	engine := fs.String("engine", "", "interpreter engine: compiled (default) or walk; samples are identical, only -throughput host times differ")
 	throughput := fs.Bool("throughput", false, "record per-run host wall-clock times (non-golden; enables IPS gating in compare)")
 	quick := fs.Bool("quick", false, "CI mode: scale 0.2, 8 runs")
 	adaptive := fs.Bool("adaptive", false, "adaptive stopping: sample until the CI half-width target")
@@ -246,6 +246,9 @@ func cmdRun(args []string) error {
 	}
 	cfg, err := sf.config()
 	if err != nil {
+		return err
+	}
+	if cfg.Engine, err = interp.ParseEngine(*engine); err != nil {
 		return err
 	}
 	experiment.SetParallelism(*jobs)
@@ -283,7 +286,7 @@ func cmdRun(args []string) error {
 			return err
 		}
 		st.Obs = experiment.Obs()
-		ctx = experiment.WithCellStore(ctx, st.Cells(cfg.Engine))
+		ctx = experiment.WithCellStore(ctx, st.Cells())
 	}
 	art, err := bench.Collect(ctx, bench.CollectOptions{
 		Suite:  suite,

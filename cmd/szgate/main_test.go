@@ -12,7 +12,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/compiler"
 	"repro/internal/experiment"
-	"repro/internal/interp"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -155,7 +154,7 @@ func TestCompareStoreParity(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	b, _ := spec.ByName("astar")
-	ctx := experiment.WithCellStore(context.Background(), st.Cells(interp.EngineCompiled))
+	ctx := experiment.WithCellStore(context.Background(), st.Cells())
 	art, err := bench.Collect(ctx, bench.CollectOptions{
 		Suite:  []spec.Benchmark{b},
 		Config: experiment.Config{Scale: 0.05, Level: compiler.O2},

@@ -50,9 +50,10 @@ type Meta struct {
 	Stabilizer string  `json:"stabilizer"` // "native" or core.Options.EnabledString()
 	Noise      float64 `json:"noise"`
 	Commit     string  `json:"commit,omitempty"`
-	// Engine records which interpreter engine collected the samples
-	// (schema ≥ 3; empty means compiled, the default). It is informational:
-	// both engines produce identical simulated samples, so it is excluded
+	// Engine records which interpreter engine measured the host times
+	// (schema ≥ 3). Collection sets it only with throughput on: golden
+	// samples are the same under both engines, and a store-served cell may
+	// have been computed under either. It is informational and excluded
 	// from comparability — a walk-engine artifact gates against a
 	// compiled-engine baseline.
 	Engine string `json:"engine,omitempty"`

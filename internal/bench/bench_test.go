@@ -399,7 +399,7 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, drain := experiment.WithDrain(experiment.WithCellStore(context.Background(), st.Cells(interp.EngineCompiled)))
+	ctx, drain := experiment.WithDrain(experiment.WithCellStore(context.Background(), st.Cells()))
 	deactivate := faultinject.Activate(1, faultinject.Fault{
 		Site: faultinject.SiteCellStart, Nth: 1, Kind: faultinject.KindHook, Hook: drain,
 	})
@@ -417,7 +417,7 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	experiment.SetParallelism(4)
-	resumed, err := Collect(experiment.WithCellStore(context.Background(), st2.Cells(interp.EngineCompiled)), opts)
+	resumed, err := Collect(experiment.WithCellStore(context.Background(), st2.Cells()), opts)
 	if err != nil {
 		t.Fatalf("resumed collection failed: %v", err)
 	}
@@ -430,6 +430,55 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	}
 	if reused, _, stored := st2.Stats(); stored != 1 || reused != 1 {
 		t.Errorf("resume stats stored=%d reused=%d, want 1/1", stored, reused)
+	}
+}
+
+// TestStoreServesEitherEngine pins that the engine is not part of a golden
+// cell's identity: cells the walk engine stored serve a compiled
+// collection in store-only mode, and the golden artifacts of both engines
+// (which carry no engine tag) are byte-identical to a fresh compiled one.
+func TestStoreServesEitherEngine(t *testing.T) {
+	opts := CollectOptions{
+		Suite:  testSuite(t, "astar", "mcf"),
+		Config: experiment.Config{Scale: testScale, Level: compiler.O2},
+		Runs:   3,
+		Seed:   29,
+	}
+	fresh, err := Collect(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := experiment.WithCellStore(context.Background(), st.Cells())
+	walkOpts := opts
+	walkOpts.Config.Engine = interp.EngineWalk
+	walk, err := Collect(ctx, walkOpts)
+	if err != nil {
+		t.Fatalf("walk collection: %v", err)
+	}
+	served, err := Collect(experiment.WithStoreOnly(ctx), opts)
+	if err != nil {
+		t.Fatalf("compiled store-only collection after a walk one: %v", err)
+	}
+	for name, art := range map[string]*Artifact{"walk": walk, "store-served compiled": served} {
+		got, err := art.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s artifact is not byte-identical to a fresh compiled one:\n%s\nvs\n%s", name, got, want)
+		}
+	}
+	if hits, misses, puts := st.Stats(); hits != 2 || misses != 2 || puts != 2 {
+		t.Errorf("store stats hits=%d misses=%d puts=%d, want 2/2/2", hits, misses, puts)
 	}
 }
 

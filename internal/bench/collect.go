@@ -150,7 +150,7 @@ func metaFor(opts CollectOptions) Meta {
 	if noise < 0 {
 		noise = 0
 	}
-	return Meta{
+	m := Meta{
 		Schema:     SchemaVersion,
 		Unit:       UnitSimulatedSeconds,
 		Seed:       opts.Seed,
@@ -159,8 +159,13 @@ func metaFor(opts CollectOptions) Meta {
 		Stabilizer: stab,
 		Noise:      noise,
 		Commit:     opts.Commit,
-		Engine:     opts.Config.Engine.String(),
 	}
+	// Golden samples do not depend on the engine, and cells served from a
+	// store may have been computed under either; only host times do.
+	if opts.Throughput {
+		m.Engine = opts.Config.Engine.String()
+	}
+	return m
 }
 
 func collectOne(ctx context.Context, b spec.Benchmark, opts CollectOptions, met *MetricsSummary) (Benchmark, error) {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/experiment"
 	"repro/internal/spec"
-	"repro/internal/store"
 )
 
 // Spec describes one campaign: a benchmark subset collected under one
@@ -40,9 +39,11 @@ type Spec struct {
 	// unique and resolvable against spec.FullSuite().
 	Benchmarks []string `json:"benchmarks"`
 	// Config is the experimental cell configuration shared by every
-	// benchmark. The engine must be resolved (zero = compiled); Throughput
-	// is rejected — host wall-clock telemetry is non-golden and would break
-	// the byte-identity contract.
+	// benchmark. Its engine picks what workers run, but not the cells: a
+	// golden cell's key leaves the engine out, so a block either engine
+	// computed serves the campaign. Throughput is rejected — host
+	// wall-clock telemetry is non-golden and would break the byte-identity
+	// contract.
 	Config experiment.Config `json:"config"`
 	// Runs is the fixed sample count per benchmark.
 	Runs int `json:"runs"`
@@ -97,19 +98,17 @@ func (s *Spec) Validate() error {
 }
 
 // Cells enumerates the campaign's cells in artifact order: one per
-// benchmark, each with its derived seed base, the cell key local
-// collection uses, and engine-extended store key.
+// benchmark, each with its derived seed base and its key, which local
+// collection and the result store share.
 func (s *Spec) Cells() []CellSpec {
 	out := make([]CellSpec, 0, len(s.Benchmarks))
 	for _, name := range s.Benchmarks {
 		base := bench.SeedBase(s.Seed, name)
-		cellKey := experiment.CellKey(name, s.Config, s.Runs, base)
 		out = append(out, CellSpec{
 			Bench:    name,
 			Runs:     s.Runs,
 			SeedBase: base,
-			CellKey:  cellKey,
-			StoreKey: store.Extend(cellKey, s.Config.Engine),
+			Key:      experiment.CellKey(name, s.Config, s.Runs, base),
 		})
 	}
 	return out
@@ -141,11 +140,9 @@ type CellSpec struct {
 	Bench    string `json:"bench"`
 	Runs     int    `json:"runs"`
 	SeedBase uint64 `json:"seed_base"`
-	// CellKey is local collection's fingerprint (experiment.CellKey);
-	// StoreKey extends it with the engine tag and semantics generation
-	// (store addressing).
-	CellKey  string `json:"cell_key"`
-	StoreKey string `json:"store_key"`
+	// Key is the cell's experiment.CellKey: local collection's
+	// fingerprint and the result store's address.
+	Key string `json:"key"`
 }
 
 // BenchByName resolves a benchmark name against the full suite (the 18

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiment"
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -392,23 +393,27 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestCellsMatchLocalDerivation checks the coordinator shards with exactly
-// the local collection's seed derivation and cell key.
+// the local collection's seed derivation and cell key, and that the key —
+// the store's address too — does not depend on the engine.
 func TestCellsMatchLocalDerivation(t *testing.T) {
 	spec := testSpec()
 	cells := spec.Cells()
 	if len(cells) != len(spec.Benchmarks) {
 		t.Fatalf("got %d cells for %d benchmarks", len(cells), len(spec.Benchmarks))
 	}
+	walk := testSpec()
+	walk.Config.Engine = interp.EngineWalk
+	walkCells := walk.Cells()
 	for i, cell := range cells {
 		name := spec.Benchmarks[i]
 		if cell.SeedBase != bench.SeedBase(spec.Seed, name) {
 			t.Errorf("%s: seed base %d != bench.SeedBase", name, cell.SeedBase)
 		}
-		if want := experiment.CellKey(name, spec.Config, spec.Runs, cell.SeedBase); cell.CellKey != want {
-			t.Errorf("%s: cell key %q != experiment.CellKey %q", name, cell.CellKey, want)
+		if want := experiment.CellKey(name, spec.Config, spec.Runs, cell.SeedBase); cell.Key != want {
+			t.Errorf("%s: cell key %q != experiment.CellKey %q", name, cell.Key, want)
 		}
-		if !strings.HasPrefix(cell.StoreKey, cell.CellKey) {
-			t.Errorf("%s: store key %q does not extend cell key", name, cell.StoreKey)
+		if walkCells[i].Key != cell.Key {
+			t.Errorf("%s: walk-engine key %q != compiled-engine key %q", name, walkCells[i].Key, cell.Key)
 		}
 	}
 }

@@ -424,7 +424,7 @@ func (c *Coordinator) Submit(spec Spec) (id string, cells, hits int, err error) 
 		// The probe uses Get, not a cheaper existence check, so a corrupt
 		// block degrades to a recompute here rather than a failed assembly
 		// later.
-		if results := c.opts.Store.Get(cs.StoreKey, cs.Runs, cs.SeedBase); results != nil {
+		if results := c.opts.Store.Get(cs.Key, cs.Runs, cs.SeedBase); results != nil {
 			st.state = cellDone
 			st.fromHit = true
 			hits++
@@ -740,7 +740,7 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 	// transition, never the work — restart recovers the cell as done from
 	// the store block itself.
 	delete(c.leases, leaseID)
-	storeKey, runs, seedBase := cell.StoreKey, cell.Runs, cell.SeedBase
+	key, runs, seedBase := cell.Key, cell.Runs, cell.SeedBase
 	c.mu.Unlock()
 	// The fencing epoch is re-verified immediately before the store write:
 	// a deposed coordinator must not write blocks (or journal state) the
@@ -750,7 +750,7 @@ func (c *Coordinator) Complete(leaseID uint64, req CompleteRequest) error {
 	if err := c.fenceErr(); err != nil {
 		return err
 	}
-	if err := c.opts.Store.Put(storeKey, runs, seedBase, req.Results); err != nil {
+	if err := c.opts.Store.Put(key, runs, seedBase, req.Results); err != nil {
 		// Deliberately not recorded under the idempotency key, and the
 		// lease goes back into the table: a retry of this post retries the
 		// store write.
@@ -958,7 +958,7 @@ func (c *Coordinator) Artifact(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx = experiment.WithStoreOnly(experiment.WithCellStore(ctx, c.opts.Store.Cells(spec.Config.Engine)))
+	ctx = experiment.WithStoreOnly(experiment.WithCellStore(ctx, c.opts.Store.Cells()))
 	art, err := bench.Collect(ctx, opts)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: assembling %s from store: %w", id, err)

@@ -186,7 +186,7 @@ func TestRestartRecoversStoreOnlyCompletions(t *testing.T) {
 	}
 	// The worker's Put lands...
 	cell := spec.Cells()[0]
-	if err := stA.Put(cell.StoreKey, cell.Runs, cell.SeedBase, fakeResults(cell.Runs)); err != nil {
+	if err := stA.Put(cell.Key, cell.Runs, cell.SeedBase, fakeResults(cell.Runs)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	// ...and the coordinator dies before Complete updates the journal.

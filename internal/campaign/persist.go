@@ -476,7 +476,7 @@ func (c *Coordinator) loadCampaigns() error {
 				if cell.state == cellDone || cell.state == cellFailed {
 					continue
 				}
-				if results := c.opts.Store.Get(cell.StoreKey, cell.Runs, cell.SeedBase); results != nil {
+				if results := c.opts.Store.Get(cell.Key, cell.Runs, cell.SeedBase); results != nil {
 					cell.state = cellDone
 					cell.err = ""
 					recovered++

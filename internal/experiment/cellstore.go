@@ -5,27 +5,33 @@ import (
 	"fmt"
 )
 
-// SemanticsGeneration versions the meaning of a cell's samples. A cell key
-// names a configuration; this constant names what the simulator does with
-// it. Bump it whenever a change alters the samples a fixed configuration
-// produces (machine-model timing, noise draw order, allocator placement,
-// compiler lowering that shifts retired-instruction streams) so result
-// stores, which outlive the build that wrote them, treat old results as
-// stale instead of serving them as current. The store's key carries it
-// (store.Extend), so a resume directory written by a build with another
-// generation recomputes its cells.
-const SemanticsGeneration = 1
+// SemanticsGeneration versions the meaning of a cell's samples, or the
+// key's format. A cell key names a configuration; this constant names what
+// the simulator does with it. Bump it whenever a change alters the samples
+// a fixed configuration produces (machine-model timing, noise draw order,
+// allocator placement, compiler lowering that shifts retired-instruction
+// streams) or the format of CellKey, so result stores, which outlive the
+// build that wrote them, treat old results as stale instead of serving them
+// as current. Every key ends in |gen=<SemanticsGeneration>, so a store
+// written by a build with another generation recomputes its cells, and
+// `szfarm gc` reclaims the old blocks.
+const SemanticsGeneration = 2
 
 // CellKey fingerprints one experimental cell: every Config field that
-// influences the samples, plus the run range. Two cells with equal keys
-// collect identical results (same-seed determinism), which is what lets a
-// cell store substitute stored results for a re-run.
+// influences the samples, plus the run range and SemanticsGeneration. Two
+// cells with equal keys collect identical results (same-seed determinism),
+// which is what lets a cell store substitute stored results for a re-run.
 //
-// This is the single definition of the fingerprint: collection passes it
-// to the CellSource verbatim, and the result store extends it with the
-// engine tag and SemanticsGeneration (see internal/store.KeyFor). The
-// format is a stable "|"-separated record whose first field is the
-// benchmark name.
+// This is the one key a cell has: collection passes it to the CellSource
+// verbatim, and the result store stores under exactly this key. The format
+// is a stable "|"-separated record whose first field is the benchmark name
+// and whose last is |gen=<SemanticsGeneration>.
+//
+// The engine is absent from golden keys, because both engines collect
+// identical samples: a cell computed under one is served under the other.
+// Throughput cells carry host times, the one quantity that depends on the
+// engine, so their keys name it (|throughput=<engine>) and never match a
+// golden cell or the other engine's throughput cell.
 //
 // A zero Scale is normalized to 1.0, matching CompileBench, so callers that
 // fingerprint a Config without compiling it (the campaign coordinator) get
@@ -42,24 +48,20 @@ func CellKey(benchName string, cfg Config, runs int, seedBase uint64) string {
 		benchName, cfg.Scale, cfg.Level, stab,
 		cfg.RandomLinkOrder, cfg.EnvSize, cfg.Noise,
 		cfg.MaxSteps, cfg.Profile, runs, seedBase)
-	// Throughput cells carry nondeterministic host times, so they never
-	// share a key with golden cells (the suffix is absent for those, keeping
-	// existing keys valid). The engine is absent here because both engines
-	// collect identical samples; the result store's key adds it.
 	if cfg.Throughput {
-		key += "|throughput"
+		key += "|throughput=" + cfg.Engine.String()
 	}
-	return key
+	return fmt.Sprintf("%s|gen=%d", key, SemanticsGeneration)
 }
 
 // A CellSource serves completed cell results by key. The content-addressed
 // result store's adapter (internal/store, Store.Cells) implements it for
-// farms and for local resume directories alike; it keys cells by CellKey
-// extended with the engine tag and SemanticsGeneration. Lookup returns nil
-// on a miss — a miss is never an error, because re-collection is
-// deterministic. Store persists a completed cell; an error or panic from it
-// is a warning, never a failed sweep (the cell simply re-runs next time).
-// Implementations must be safe for concurrent use by pool workers.
+// farms and for local resume directories alike; it stores each cell under
+// its CellKey. Lookup returns nil on a miss — a miss is never an error,
+// because re-collection is deterministic. Store persists a completed cell;
+// an error or panic from it is a warning, never a failed sweep (the cell
+// simply re-runs next time). Implementations must be safe for concurrent
+// use by pool workers.
 type CellSource interface {
 	Lookup(key string, runs int, seedBase uint64) []RunResult
 	Store(ctx context.Context, key string, runs int, seedBase uint64, results []RunResult) error

@@ -17,7 +17,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
-	"repro/internal/interp"
 	"repro/internal/store"
 )
 
@@ -29,7 +28,7 @@ func openStore(t *testing.T, dir string) (*store.Store, context.Context) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, experiment.WithCellStore(context.Background(), st.Cells(interp.EngineCompiled))
+	return st, experiment.WithCellStore(context.Background(), st.Cells())
 }
 
 // TestResumeCheckpointRoundTrip stores one cell and replays it: the

@@ -11,7 +11,6 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/compiler"
@@ -54,42 +53,22 @@ type Config struct {
 	// Engine selects the interpreter execution engine (default compiled;
 	// walk is the differential reference). Both engines produce identical
 	// samples — the cross-engine oracle axis enforces it — and only
-	// host-side throughput (RunResult.HostSeconds) differs. CellKey leaves
-	// the engine out, but the result store's key adds it (store.Extend), so
-	// a sweep resumed under the other engine recomputes its cells instead
-	// of replaying them.
+	// host-side throughput (RunResult.HostSeconds) differs. So CellKey
+	// names the engine only in Throughput cells: a golden cell computed
+	// under one engine is served from a result store under the other.
 	Engine interp.Engine
 	// Throughput enables host wall-clock measurement of each interpreter
 	// run (RunResult.HostSeconds). Off by default: host time is the one
 	// nondeterministic quantity a run can carry, so golden collections keep
 	// it zeroed and stay bit-identical across re-runs. Throughput cells get
-	// their own cell key — a replay reports the stored host time rather
-	// than silently serving zeros from a golden cell.
+	// their own cell key, per engine — a replay reports the host time the
+	// same engine measured rather than silently serving zeros from a golden
+	// cell or the other engine's times.
 	Throughput bool
 }
 
 // DefaultNoise is the default relative sigma of run-to-run system noise.
 const DefaultNoise = 0.0025
-
-// defaultEngine is the process-wide engine a zero-valued Config.Engine
-// resolves to. interp.EngineCompiled is the zero value, so "unset" and
-// "compiled" are indistinguishable by design: an explicit Config.Engine =
-// EngineWalk always wins, and SetDefaultEngine only matters for callers
-// that leave the field alone (the experiment CLIs' -engine flag).
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine routes every run whose Config doesn't pick an engine to
-// eng. Safe to call concurrently; samples are engine-independent either
-// way, so this only changes host-side execution speed.
-func SetDefaultEngine(eng interp.Engine) { defaultEngine.Store(int32(eng)) }
-
-// effectiveEngine resolves a Config's engine against the process default.
-func effectiveEngine(cfg Config) interp.Engine {
-	if cfg.Engine != interp.EngineCompiled {
-		return cfg.Engine
-	}
-	return interp.Engine(defaultEngine.Load())
-}
 
 // validate rejects configurations that would silently produce garbage
 // samples instead of failing loudly.
@@ -249,7 +228,7 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool) (RunRe
 		MaxSteps:  c.Cfg.MaxSteps,
 		Profile:   c.Cfg.Profile,
 		Interrupt: interrupt,
-		Engine:    effectiveEngine(c.Cfg),
+		Engine:    c.Cfg.Engine,
 	}
 	if profile {
 		prof = obs.NewProfiler(c.Module, mcfg)

@@ -58,12 +58,6 @@ type Options struct {
 	// Allocators are the heap policies to sweep, by name (default
 	// AllocatorNames).
 	Allocators []string
-	// Engines are the execution engines to sweep (default both: compiled
-	// and walk). The engine is a within-level axis like seed and allocator:
-	// every cell of a level must produce the same Exec digest regardless of
-	// which engine ran it, which pins the compiled engine to the tree-walk
-	// reference byte for byte.
-	Engines []interp.Engine
 	// MaxSteps bounds each cell's retired instructions (default 200e6).
 	// Exhausting it is an infrastructure error, not a divergence.
 	MaxSteps uint64
@@ -92,9 +86,6 @@ func (o *Options) defaults() {
 	}
 	if len(o.Allocators) == 0 {
 		o.Allocators = AllocatorNames
-	}
-	if len(o.Engines) == 0 {
-		o.Engines = interp.Engines()
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 200_000_000
@@ -161,8 +152,10 @@ func VerifyCompiled(name string, mods map[compiler.OptLevel]*ir.Module, opts Opt
 	v := &verifier{name: name, mods: mods, opts: opts}
 	res := &Result{Program: name, Exec: make(map[compiler.OptLevel]uint64, len(opts.Levels))}
 
-	// Layout axes: within each level, every (seed, allocator) cell must
-	// match the level's first cell instruction-for-instruction.
+	// Layout and engine axes: within each level, every (seed, allocator,
+	// engine) cell must match the level's first cell
+	// instruction-for-instruction, which pins the compiled engine to the
+	// tree-walk reference byte for byte.
 	type levelRef struct {
 		cell   Cell
 		digest interp.Digest
@@ -175,7 +168,7 @@ func VerifyCompiled(name string, mods map[compiler.OptLevel]*ir.Module, opts Opt
 		var ref *levelRef
 		for _, seed := range opts.Seeds {
 			for _, al := range opts.Allocators {
-				for _, eng := range opts.Engines {
+				for _, eng := range interp.Engines() {
 					cell := Cell{Program: name, Seed: seed, Level: lv, Allocator: al, Engine: eng}
 					rec := interp.NewRecorder()
 					if err := v.runCell(cell, rec); err != nil {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/spec"
 )
@@ -52,7 +51,6 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	folded := fs.String("folded", "", "write folded call stacks (flamegraph.pl/speedscope format) to this file")
 	trace := fs.String("trace", "", "write a Perfetto flame chart (trace-event JSON, 1 µs = 1 cycle) to this file")
 	conflicts := fs.Bool("conflicts", true, "print the cache-set conflict report")
-	engine := fs.String("engine", "", "interpreter engine: compiled (default) or walk")
 	validate := fs.String("validate-trace", "", "validate a trace-event JSON file and exit (no benchmark run)")
 	fs.Usage = func() {
 		fmt.Fprint(stderr, `szprof — layout-attribution profiler
@@ -107,16 +105,11 @@ Flags:
 	if *all {
 		*code, *stack, *heapR, *rerand = true, true, true, true
 	}
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(stderr, "szprof: %v\n", err)
-		return exitUsage
-	}
 
 	// Noise only perturbs the reported seconds, never the counters the
 	// profiler attributes; it is disabled here so the one timing line we
 	// print is the raw deterministic cycle count.
-	cfg := experiment.Config{Scale: *scale, Level: optLevel, Noise: -1, Engine: eng}
+	cfg := experiment.Config{Scale: *scale, Level: optLevel, Noise: -1}
 	if *code || *stack || *heapR {
 		cfg.Stabilizer = &core.Options{
 			Code: *code, Stack: *stack, Heap: *heapR,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/interp"
 )
 
 // GCOptions configures a store garbage collection.
@@ -40,11 +39,11 @@ func (e *LeaseHeldError) Error() string {
 type GCReport struct {
 	// Scanned is every block file the pass examined.
 	Scanned int `json:"scanned"`
-	// Kept blocks carry the current semantics generation and a known
-	// engine tag.
+	// Kept blocks carry the current semantics generation.
 	Kept int `json:"kept"`
-	// Evicted blocks were stale: wrong SemanticsGeneration or an engine
-	// tag this build cannot attribute. With DryRun they are only counted.
+	// Evicted blocks were stale: a key without the current
+	// SemanticsGeneration, such as every block older builds wrote under an
+	// engine-tagged key. With DryRun they are only counted.
 	Evicted int `json:"evicted"`
 	// Quarantined counts blocks that were unreadable or failed integrity
 	// checks: moved to <dir>/quarantine/ on a real run (never silently
@@ -60,9 +59,10 @@ type GCReport struct {
 }
 
 // staleKey reports whether a store key's suffix names a semantics
-// generation other than the current one, or an engine tag this build does
-// not know. Keys without the |engine=…|gen=… suffix predate the store's key
-// schema entirely and are stale by definition.
+// generation other than the current one. Keys without the |gen=… suffix
+// predate the store's key schema entirely and are stale by definition;
+// generation-1 keys, which carried an |engine=… tag, are stale by their
+// generation.
 func staleKey(key string) (stale bool, reason string) {
 	genIdx := strings.LastIndex(key, "|gen=")
 	if genIdx < 0 {
@@ -75,21 +75,13 @@ func staleKey(key string) (stale bool, reason string) {
 	if gen != experiment.SemanticsGeneration {
 		return true, fmt.Sprintf("semantics generation %d, current %d", gen, experiment.SemanticsGeneration)
 	}
-	engIdx := strings.LastIndex(key[:genIdx], "|engine=")
-	if engIdx < 0 {
-		return true, "no engine tag in key"
-	}
-	if _, err := interp.ParseEngine(key[engIdx+len("|engine=") : genIdx]); err != nil {
-		return true, "unknown engine tag"
-	}
 	return false, ""
 }
 
 // GC walks the block tree and evicts blocks whose key is stale — a
-// SemanticsGeneration other than the running build's, or an engine tag the
-// build no longer recognizes. Such blocks can never be served again (the
-// current key schema cannot address them), so they are pure disk overhead
-// in a long-lived farm store. Corrupt blocks found along the way are
+// SemanticsGeneration other than the running build's. Such blocks can
+// never be served again (the current key schema cannot address them), so
+// they are pure disk overhead in a long-lived farm store. Corrupt blocks found along the way are
 // quarantined, exactly as by the index rebuild. After a non-dry run the
 // index is rewritten from the blocks the walk kept, so it names each of
 // them — including ones other handles wrote — and no evicted one.

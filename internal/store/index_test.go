@@ -103,7 +103,7 @@ func TestGCIndexesBlocksOfOtherHandles(t *testing.T) {
 	collector := openDir(t, dir)
 	writer := openDir(t, dir)
 	for i := uint64(0); i < 2; i++ {
-		putKey(t, writer, KeyFor("astar", experiment.Config{Scale: 0.1}, 2, i), i)
+		putKey(t, writer, experiment.CellKey("astar", experiment.Config{Scale: 0.1}, 2, i), i)
 	}
 	rep, err := collector.GC(GCOptions{Force: true})
 	if err != nil {

@@ -103,7 +103,7 @@ func TestResumeReplacesDamagedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	key := KeyFor("astar", experiment.Config{Scale: 0.1}, 3, 7)
+	key := experiment.CellKey("astar", experiment.Config{Scale: 0.1}, 3, 7)
 	want := fakeResults(3)
 	if err := s.Put(key, 3, 7, want); err != nil {
 		t.Fatalf("put: %v", err)
@@ -143,8 +143,12 @@ func TestResumeReplacesDamagedBlock(t *testing.T) {
 	}
 }
 
+// gen1Key is a key as builds before generation 2 wrote it: the cell key
+// extended with the engine tag and generation 1.
+const gen1Key = "astar|scale=0.1|level=-O0|native|link=false|env=0|noise=0|maxsteps=0|profile=false|runs=2|seedbase=5|engine=compiled|gen=1"
+
 // gcStoreFixture builds a store holding one fresh block and three stale
-// ones (old generation, unknown engine, pre-schema key).
+// ones (old generation, generation-1 engine-tagged key, pre-schema key).
 func gcStoreFixture(t *testing.T) (*Store, string, []string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -152,10 +156,10 @@ func gcStoreFixture(t *testing.T) (*Store, string, []string) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	fresh := KeyFor("astar", experiment.Config{Scale: 0.1}, 2, 5)
+	fresh := experiment.CellKey("astar", experiment.Config{Scale: 0.1}, 2, 5)
 	stale := []string{
-		fmt.Sprintf("astar|old|engine=compiled|gen=%d", experiment.SemanticsGeneration-1),
-		fmt.Sprintf("astar|odd|engine=quantum|gen=%d", experiment.SemanticsGeneration),
+		fmt.Sprintf("astar|old|gen=%d", experiment.SemanticsGeneration-1),
+		gen1Key,
 		"astar|preschema",
 	}
 	for i, k := range append([]string{fresh}, stale...) {
@@ -227,7 +231,7 @@ func TestGCQuarantinesCorruptBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	key := KeyFor("astar", experiment.Config{Scale: 0.1}, 2, 5)
+	key := experiment.CellKey("astar", experiment.Config{Scale: 0.1}, 2, 5)
 	if err := s.Put(key, 2, 5, fakeResults(2)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -249,18 +253,17 @@ func TestGCQuarantinesCorruptBlocks(t *testing.T) {
 
 // TestStaleKey pins the staleness predicate's edges.
 func TestStaleKey(t *testing.T) {
-	freshKey := Extend("astar|x", interp.EngineCompiled)
 	cases := []struct {
 		key   string
 		stale bool
 	}{
-		{freshKey, false},
-		{Extend("astar|x", interp.EngineWalk), false},
+		{experiment.CellKey("astar", experiment.Config{Scale: 0.1}, 2, 5), false},
+		{experiment.CellKey("astar", experiment.Config{Scale: 0.1, Throughput: true, Engine: interp.EngineWalk}, 2, 5), false},
+		{fmt.Sprintf("astar|x|gen=%d", experiment.SemanticsGeneration), false},
 		{"astar|x", true},
-		{fmt.Sprintf("astar|x|engine=compiled|gen=%d", experiment.SemanticsGeneration+1), true},
-		{"astar|x|engine=compiled|gen=zebra", true},
-		{fmt.Sprintf("astar|x|engine=quantum|gen=%d", experiment.SemanticsGeneration), true},
-		{fmt.Sprintf("astar|x|gen=%d", experiment.SemanticsGeneration), true},
+		{fmt.Sprintf("astar|x|gen=%d", experiment.SemanticsGeneration+1), true},
+		{"astar|x|gen=zebra", true},
+		{gen1Key, true},
 	}
 	for _, tc := range cases {
 		if stale, reason := staleKey(tc.key); stale != tc.stale {

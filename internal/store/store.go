@@ -1,11 +1,13 @@
 // Package store is the content-addressed result store of the benchmarking
 // farm: a directory of immutable sample blocks, one per experimental cell,
-// addressed by the cell's configuration fingerprint. The fingerprint is the
-// engine's own cell key (experiment.CellKey) extended with the interpreter
-// engine tag and the simulator's SemanticsGeneration, so a long-lived store
-// shared across campaigns, users, and builds never serves results whose
-// meaning has drifted. The same store is a local sweep's resume directory
-// (`experiments -checkpoint`, `szgate run -store`).
+// addressed by the cell's key (experiment.CellKey). The key ends in the
+// simulator's SemanticsGeneration, so a long-lived store shared across
+// campaigns, users, and builds never serves results whose meaning has
+// drifted. It leaves out the interpreter engine, because both engines
+// collect identical samples: one block serves either engine. Only
+// throughput cells, whose host times depend on the engine, name it. The
+// same store is a local sweep's resume directory (`experiments
+// -checkpoint`, `szgate run -store`).
 //
 // Determinism is what makes the store sound: a cell key fully determines
 // its samples, so serving a stored block is indistinguishable from
@@ -51,7 +53,6 @@ import (
 	"sync"
 
 	"repro/internal/experiment"
-	"repro/internal/interp"
 	"repro/internal/obs"
 )
 
@@ -71,47 +72,18 @@ const (
 	legacyIndexName = "index.json"
 )
 
-// KeyFor returns the store key for one cell: experiment.CellKey extended
-// with the engine tag and semantics generation. Callers must resolve
-// engine defaults into cfg.Engine first (the coordinator does this at
-// submit time); a zero Engine means the compiled engine, matching
-// interp.Engine's zero value.
-func KeyFor(benchName string, cfg experiment.Config, runs int, seedBase uint64) string {
-	return Extend(experiment.CellKey(benchName, cfg, runs, seedBase), cfg.Engine)
-}
+// Cells adapts the store to experiment.CellSource: the collection path's
+// cell keys (experiment.CellKey strings) address the store as they are.
+func (s *Store) Cells() experiment.CellSource { return cellAdapter{s} }
 
-// Extend turns a cell key into a store key. Both engines
-// provably collect identical samples (the cross-engine differential suite),
-// but a shared store is longer-lived than that proof: keeping hits within
-// one engine means a future engine bug can never cross-contaminate stored
-// results, at the cost of one redundant computation per engine. The
-// generation tag retires every stored block at once when the simulator's
-// sample semantics change (experiment.SemanticsGeneration).
-func Extend(cellKey string, engine interp.Engine) string {
-	return fmt.Sprintf("%s|engine=%s|gen=%d", cellKey, engine, experiment.SemanticsGeneration)
-}
-
-// Cells adapts the store to experiment.CellSource for one engine: cell
-// keys arriving from the collection path (experiment.CellKey strings) are
-// extended with the engine tag and semantics generation before addressing
-// the store. Callers must pass the engine the collection actually runs
-// under (the resolved Config.Engine), or hits and writes land in the wrong
-// engine's namespace.
-func (s *Store) Cells(engine interp.Engine) experiment.CellSource {
-	return cellAdapter{s: s, engine: engine}
-}
-
-type cellAdapter struct {
-	s      *Store
-	engine interp.Engine
-}
+type cellAdapter struct{ s *Store }
 
 func (a cellAdapter) Lookup(key string, runs int, seedBase uint64) []experiment.RunResult {
-	return a.s.Get(Extend(key, a.engine), runs, seedBase)
+	return a.s.Get(key, runs, seedBase)
 }
 
 func (a cellAdapter) Store(_ context.Context, key string, runs int, seedBase uint64, results []experiment.RunResult) error {
-	return a.s.Put(Extend(key, a.engine), runs, seedBase, results)
+	return a.s.Put(key, runs, seedBase, results)
 }
 
 // blockFile is the on-disk form of one cell. Payload is the canonical

@@ -30,20 +30,45 @@ func fakeResults(n int) []experiment.RunResult {
 	return out
 }
 
-func TestKeyForExtendsCellKey(t *testing.T) {
-	cfg := experiment.Config{Scale: 0.25, Engine: interp.EngineWalk}
-	key := KeyFor("astar", cfg, 5, 42)
-	cell := experiment.CellKey("astar", cfg, 5, 42)
-	if !strings.HasPrefix(key, cell) {
-		t.Fatalf("store key %q does not extend cell key %q", key, cell)
+// TestThroughputKeysKeepTheirEngine pins where the engine enters a key: a
+// golden cell's key is the same under both engines, so one block serves
+// either, while a throughput cell's key names its engine, so host times
+// one engine measured are never replayed as the other's. A walk collection
+// with throughput on, after a compiled one on the same store, computes its
+// cell instead of hitting.
+func TestThroughputKeysKeepTheirEngine(t *testing.T) {
+	compiled := experiment.Config{Scale: 0.05}
+	walk := experiment.Config{Scale: 0.05, Engine: interp.EngineWalk}
+	golden := experiment.CellKey("astar", compiled, 5, 42)
+	if walkKey := experiment.CellKey("astar", walk, 5, 42); walkKey != golden {
+		t.Fatalf("golden keys differ across engines:\n  compiled: %s\n  walk:     %s", golden, walkKey)
 	}
-	if !strings.Contains(key, "|engine=walk|") && !strings.HasSuffix(key, "|engine=walk|gen=1") {
-		if !strings.Contains(key, "|engine=walk") {
-			t.Fatalf("store key %q missing engine tag", key)
+	if want := fmt.Sprintf("|gen=%d", experiment.SemanticsGeneration); !strings.HasSuffix(golden, want) || strings.Contains(golden, "engine") {
+		t.Fatalf("golden key %q: want no engine and the suffix %q", golden, want)
+	}
+	compiled.Throughput, walk.Throughput = true, true
+	tc, tw := experiment.CellKey("astar", compiled, 5, 42), experiment.CellKey("astar", walk, 5, 42)
+	if tc == tw || tc == golden || tw == golden {
+		t.Fatalf("throughput keys must differ from each other and the golden key:\n  compiled: %s\n  walk:     %s", tc, tw)
+	}
+
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	ctx := experiment.WithCellStore(context.Background(), s.Cells())
+	b, _ := spec.ByName("astar")
+	for _, cfg := range []experiment.Config{compiled, walk} {
+		cc, err := experiment.CompileBench(b, cfg)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		if _, err := cc.Collect(ctx, 2, 42); err != nil {
+			t.Fatalf("%s collect: %v", cfg.Engine, err)
 		}
 	}
-	if key == Extend(cell, interp.EngineCompiled) {
-		t.Fatalf("walk and compiled store keys collide: %q", key)
+	if hits, misses, puts := s.Stats(); hits != 0 || misses != 2 || puts != 2 {
+		t.Fatalf("throughput collections under two engines: hits=%d misses=%d puts=%d, want 0/2/2", hits, misses, puts)
 	}
 }
 
@@ -52,7 +77,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	key := KeyFor("astar", experiment.Config{Scale: 0.1}, 4, 99)
+	key := experiment.CellKey("astar", experiment.Config{Scale: 0.1}, 4, 99)
 	want := fakeResults(4)
 	if err := s.Put(key, 4, 99, want); err != nil {
 		t.Fatalf("put: %v", err)
@@ -200,8 +225,8 @@ func TestIndexRebuild(t *testing.T) {
 
 // TestCellSourceAdapter runs a real collection through the store-backed
 // CellSource twice: the second pass must be served from the store and
-// produce identical samples, and the keys in the store must carry the
-// engine tag.
+// produce identical samples, and the store must hold the block under the
+// cell's key, which ends in the semantics generation.
 func TestCellSourceAdapter(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -213,7 +238,7 @@ func TestCellSourceAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	ctx := experiment.WithCellStore(context.Background(), s.Cells(interp.EngineCompiled))
+	ctx := experiment.WithCellStore(context.Background(), s.Cells())
 	first, err := cc.Collect(ctx, 3, 11)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
@@ -221,8 +246,9 @@ func TestCellSourceAdapter(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("store holds %d blocks after collect, want 1", s.Len())
 	}
-	if e := s.Index()[0]; !strings.Contains(e.Key, "|engine=compiled|") && !strings.Contains(e.Key, "|engine=compiled") {
-		t.Fatalf("stored key %q missing engine tag", e.Key)
+	gen := fmt.Sprintf("|gen=%d", experiment.SemanticsGeneration)
+	if e := s.Index()[0]; e.Key != experiment.CellKey("astar", cfg, 3, 11) || !strings.HasSuffix(e.Key, gen) {
+		t.Fatalf("stored key %q: want the cell key, ending in %q", e.Key, gen)
 	}
 	second, err := cc.Collect(experiment.WithStoreOnly(ctx), 3, 11)
 	if err != nil {
