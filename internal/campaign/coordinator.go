@@ -224,7 +224,10 @@ type lease struct {
 	cell     *cellState
 	worker   string
 	deadline time.Time
-	expired  bool
+	// journaled is the deadline the journal last recorded for the lease:
+	// the one a restarted coordinator would restore.
+	journaled time.Time
+	expired   bool
 	// attempt is the cell attempt this lease represents, frozen at grant
 	// time: a late completion against an expired lease must name its own
 	// attempt's span, not whatever attempt the cell is on by then.
@@ -606,6 +609,12 @@ func (c *Coordinator) Acquire(worker string) AcquireResponse {
 // already expired — the worker should abandon the cell (a successor lease
 // may already be running it; determinism makes the duplicate harmless, but
 // abandoning saves the wasted work).
+//
+// A heartbeat moves the deadline in memory. Once heartbeats have moved it a
+// whole LeaseTTL past the deadline the journal holds, the lease record is
+// journaled again on a "lease extended" line, so a restarted coordinator
+// does not expire a lease its worker kept alive and compute the cell
+// again; between those lines a lease costs no journal write.
 func (c *Coordinator) Heartbeat(leaseID uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -616,6 +625,12 @@ func (c *Coordinator) Heartbeat(leaseID uint64) bool {
 	}
 	l.deadline = c.opts.now().Add(c.opts.LeaseTTL)
 	c.workerSeen[l.worker] = c.opts.now()
+	if l.deadline.Sub(l.journaled) >= c.opts.LeaseTTL {
+		c.eventLocked(l.campaign, "lease extended", obs.F("cell", l.cell.Bench),
+			obs.F("worker", l.worker), obs.F("lease", l.id),
+			obs.F("trace", l.campaign.trace), obs.F("span", obs.SpanID(l.campaign.id, l.cell.Bench, l.attempt)))
+		c.commitLocked(l.campaign, l.cell, l)
+	}
 	return true
 }
 

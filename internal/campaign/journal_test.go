@@ -532,3 +532,51 @@ func BenchmarkCoordinatorCell(b *testing.B) {
 		}
 	}
 }
+
+// TestRestartKeepsHeartbeatExtendedLease restarts the coordinator while a
+// worker that has heartbeated its lease for three TTLs is still computing.
+// The restored lease must still be live: its worker's next heartbeat and
+// its completion are accepted, and no other worker is granted the cell.
+// The journal gains one "lease extended" line per TTL of extension, not
+// one per heartbeat.
+func TestRestartKeepsHeartbeatExtendedLease(t *testing.T) {
+	r := newJournalRig(t, t.TempDir())
+	r.submit("astar")
+	l := r.grant("w1")
+	// Heartbeat at a third of the TTL for three TTLs, as workers do.
+	for i := 0; i < 9; i++ {
+		r.clock = r.clock.Add(10 * time.Second)
+		if !r.c.Heartbeat(l.ID) {
+			t.Fatalf("heartbeat %d rejected", i+1)
+		}
+	}
+
+	// Crash, and restart 5 s after the last heartbeat: the grant's own
+	// deadline passed a minute ago, the extended one has 25 s to run.
+	r.clock = r.clock.Add(5 * time.Second)
+	r.c = r.open()
+	if resp := r.c.Acquire("w2"); resp.Lease != nil {
+		t.Fatalf("restart re-granted a live lease's cell: %+v", resp.Lease)
+	}
+	r.clock = r.clock.Add(5 * time.Second)
+	if !r.c.Heartbeat(l.ID) {
+		t.Fatal("restart expired a lease its worker kept alive")
+	}
+	if err := r.complete(l.ID, "w1", ""); err != nil {
+		t.Fatalf("complete after restart: %v", err)
+	}
+	stat, ok := r.c.Status(r.ids[0])
+	if !ok || stat.State != StateDone {
+		t.Fatalf("status after completion: %+v", stat)
+	}
+	if got := r.c.metrics().Counter("campaign.leases.expired").Value(); got != 0 {
+		t.Fatalf("%d leases expired, want 0", got)
+	}
+	log, err := os.ReadFile(filepath.Join(r.dir, "campaigns", r.ids[0]+".events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(log), `"msg":"lease extended"`); got != 3 {
+		t.Fatalf("%d lease-extended lines for 10 heartbeats, want 3", got)
+	}
+}

@@ -223,6 +223,7 @@ func (c *Coordinator) commitLocked(camp *campaignState, cell *cellState, l *leas
 	if c.leases[l.id] == l {
 		pl := leaseRecord(l)
 		rec.Lease = &pl
+		l.journaled = l.deadline
 	} else {
 		rec.Resolved = l.id
 	}
@@ -325,9 +326,10 @@ func (c *Coordinator) restoreLease(camp *campaignState, pl persistedLease) error
 	if attempt == 0 {
 		attempt = cell.attempts
 	}
+	deadline := time.Unix(0, pl.Deadline)
 	c.leases[pl.ID] = &lease{
 		id: pl.ID, campaign: camp, cell: cell, worker: pl.Worker,
-		deadline: time.Unix(0, pl.Deadline), expired: pl.Expired,
+		deadline: deadline, journaled: deadline, expired: pl.Expired,
 		attempt: attempt,
 	}
 	c.nextLease = max(c.nextLease, pl.ID)

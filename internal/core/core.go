@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/heap"
 	"repro/internal/interp"
@@ -140,15 +141,14 @@ func DefaultCosts() Costs {
 	}
 }
 
+// funcState is the runtime's private per-function state. Where the
+// function's current copy sits (its code base, block offsets under
+// fine-grain randomization, and relocation table) is published in the
+// layout table instead, which the engines read directly.
 type funcState struct {
-	cur        mem.Addr // where the function currently executes
-	allocBase  mem.Addr // code-heap block backing it (0 if static/piled)
-	allocSize  uint64
-	relocTable mem.Addr // address of its relocation table (0 before reloc)
-	trapped    bool
-	// blockOff holds per-copy block offsets under fine-grain code
-	// randomization; nil means blocks sit at their static offsets.
-	blockOff []uint64
+	allocBase mem.Addr // code-heap block backing it (0 if static/piled)
+	allocSize uint64
+	trapped   bool
 }
 
 type pileEntry struct {
@@ -158,6 +158,10 @@ type pileEntry struct {
 
 // Stabilizer is the runtime; it implements interp.Runtime.
 type Stabilizer struct {
+	// lay is the layout table the engines read: handleTrap writes a
+	// function's new placement into it, Tick re-arms its TickAt.
+	lay interp.Layout
+
 	m    *ir.Module
 	mach *machine.Machine
 	as   *mem.AddressSpace
@@ -167,14 +171,11 @@ type Stabilizer struct {
 	rStack *rng.Marsaglia
 	rCode  *rng.Marsaglia
 
-	staticFuncs []mem.Addr
-	globals     []mem.Addr
-	stackBase   mem.Addr
+	stackBase mem.Addr
 
 	codeHeap heap.Allocator
 	funcs    []funcState
-	slots    [][]int32 // slots[fn][sym] = relocation slot index, -1 if none
-	slotCnt  []int
+	slotCnt  []int // relocation slots per function
 
 	pile       []pileEntry
 	gcPending  bool
@@ -251,18 +252,17 @@ func New(m *ir.Module, mach *machine.Machine, as *mem.AddressSpace,
 	}
 	master := rng.NewMarsaglia(opts.Seed)
 	s := &Stabilizer{
-		m:           m,
-		mach:        mach,
-		as:          as,
-		opts:        opts,
-		cost:        DefaultCosts(),
-		rStack:      master.Split(),
-		rCode:       master.Split(),
-		staticFuncs: staticFuncs,
-		globals:     globalAddrs,
-		stackBase:   as.StackBase(),
-		funcs:       make([]funcState, len(m.Funcs)),
-		timerArmed:  opts.Rerandomize,
+		lay:        interp.Layout{Funcs: make([]interp.FuncLayout, len(m.Funcs)), Globals: globalAddrs},
+		m:          m,
+		mach:       mach,
+		as:         as,
+		opts:       opts,
+		cost:       DefaultCosts(),
+		rStack:     master.Split(),
+		rCode:      master.Split(),
+		stackBase:  as.StackBase(),
+		funcs:      make([]funcState, len(m.Funcs)),
+		timerArmed: opts.Rerandomize,
 	}
 	rHeap := master.Split()
 
@@ -286,8 +286,8 @@ func New(m *ir.Module, mach *machine.Machine, as *mem.AddressSpace,
 	}
 
 	// Code: a shuffled heap of executable memory below 4 GiB (§3.3, §3.5).
-	for fi := range s.funcs {
-		s.funcs[fi].cur = staticFuncs[fi]
+	for fi, a := range staticFuncs {
+		s.lay.Funcs[fi].Code = a
 	}
 	if opts.Code {
 		s.codeHeap = heap.NewShuffle(heap.NewSegregatedAt(as, mem.MapLow32), s.rCode.Split(), opts.ShuffleN)
@@ -307,6 +307,7 @@ func New(m *ir.Module, mach *machine.Machine, as *mem.AddressSpace,
 		s.nextSample = mach.Cycles + s.sampleWindow
 		s.lastSample = counterSnapshot{}
 	}
+	s.rearmTick()
 
 	// Stack: per-function pad tables with simulated addresses, so loading a
 	// pad is a real (cache-visible) memory access. Many functions mean many
@@ -331,12 +332,11 @@ func New(m *ir.Module, mach *machine.Machine, as *mem.AddressSpace,
 }
 
 // buildRelocSlots assigns each function's referenced symbols (callees and
-// globals) consecutive slots in its relocation table. Two copies of a
-// function never share a table (§3.3), but the slot layout is fixed per
-// function.
+// globals) consecutive slots in its relocation table, publishing their byte
+// offsets in the layout table. Two copies of a function never share a table
+// (§3.3), but the slot layout is fixed per function.
 func (s *Stabilizer) buildRelocSlots() {
 	nf, ng := len(s.m.Funcs), len(s.m.Globals)
-	s.slots = make([][]int32, nf)
 	s.slotCnt = make([]int, nf)
 	for fi, f := range s.m.Funcs {
 		tbl := make([]int32, nf+ng)
@@ -350,33 +350,25 @@ func (s *Stabilizer) buildRelocSlots() {
 				switch in.Op {
 				case ir.OpCall:
 					if tbl[in.Sym] == -1 {
-						tbl[in.Sym] = n
+						tbl[in.Sym] = n * relocSlotSize
 						n++
 					}
 				case ir.OpLoadG, ir.OpStoreG, ir.OpLoadGF, ir.OpStoreGF:
 					if tbl[nf+int(in.Sym)] == -1 {
-						tbl[nf+int(in.Sym)] = n
+						tbl[nf+int(in.Sym)] = n * relocSlotSize
 						n++
 					}
 				}
 			}
 		}
-		s.slots[fi] = tbl
+		s.lay.Funcs[fi].Slots = tbl
 		s.slotCnt[fi] = int(n)
 	}
 }
 
-// CodeBase implements interp.Runtime.
-func (s *Stabilizer) CodeBase(fn int) mem.Addr { return s.funcs[fn].cur }
-
-// BlockOffsets implements interp.Runtime: under fine-grain code
-// randomization each copy of a function has its own block permutation, and
-// permuteBlocks allocates a fresh slice per copy, so snapshots taken by
-// in-flight activations stay valid.
-func (s *Stabilizer) BlockOffsets(fn int) []uint64 { return s.funcs[fn].blockOff }
-
-// GlobalAddr implements interp.Runtime; globals never move.
-func (s *Stabilizer) GlobalAddr(g int) mem.Addr { return s.globals[g] }
+// Layout implements interp.Runtime. Globals never move; a function's entry
+// changes when a trap relocates it (handleTrap), and TickAt when Tick runs.
+func (s *Stabilizer) Layout() *interp.Layout { return &s.lay }
 
 // StackBase implements interp.Runtime.
 func (s *Stabilizer) StackBase() mem.Addr { return s.stackBase }
@@ -391,10 +383,12 @@ func (s *Stabilizer) BeforeCall(fn int) uint64 {
 	if s.opts.Stack {
 		// Figure 4: load the index byte, load the index-th pad byte,
 		// increment the index (wrapping), scale by 16.
+		// A one-byte load touches the one line its aligned word sits in,
+		// so Data8 on that word charges exactly what Data(a, 1) would.
 		idx := s.padIndex[fn]
-		s.mach.Data(s.padTblAddr[fn]+padTableSize, 1)  // index byte
-		s.mach.Data(s.padTblAddr[fn]+mem.Addr(idx), 1) // pad entry
-		s.mach.Retire(s.cost.PadExtra)                 // inserted instructions
+		s.mach.Data8((s.padTblAddr[fn] + padTableSize) &^ 7)  // index byte
+		s.mach.Data8((s.padTblAddr[fn] + mem.Addr(idx)) &^ 7) // pad entry
+		s.mach.Retire(s.cost.PadExtra)                        // inserted instructions
 		pad = uint64(s.padTables[fn][idx]) * 16
 		s.padIndex[fn] = idx + 1 // uint8 wraparound is the paper's wraparound
 	}
@@ -402,7 +396,8 @@ func (s *Stabilizer) BeforeCall(fn int) uint64 {
 }
 
 // handleTrap relocates fn into the code heap (Figure 3b), running the pile
-// garbage collector first if a re-randomization is pending (Figure 3d).
+// garbage collector first if a re-randomization is pending (Figure 3d), and
+// publishes the new copy in the layout table.
 func (s *Stabilizer) handleTrap(fn int) {
 	st := &s.funcs[fn]
 	s.Stats.Traps++
@@ -431,13 +426,15 @@ func (s *Stabilizer) handleTrap(fn int) {
 	// Copy the body and build the relocation table at its end.
 	s.mach.Stall(s.cost.RelocPer16B * (size + 15) / 16)
 
-	st.cur = base
 	st.allocBase = base
 	st.allocSize = size
-	st.relocTable = base + mem.Addr(bodySize)
 	st.trapped = false
+	fl := &s.lay.Funcs[fn]
+	fl.Code = base
+	fl.Reloc = base + mem.Addr(bodySize)
 	if s.opts.FineGrainCode {
-		st.blockOff = s.permuteBlocks(f)
+		// A fresh slice per copy: activations of older copies keep theirs.
+		fl.Blocks = s.permuteBlocks(f)
 	}
 	s.Stats.Relocations++
 }
@@ -508,10 +505,24 @@ func (s *Stabilizer) Tick(stack func() []mem.Addr) {
 	if s.opts.Adaptive && s.mach.Cycles >= s.nextSample {
 		s.adaptiveSample()
 	}
-	if s.mach.Cycles < s.nextRerand {
+	if s.mach.Cycles >= s.nextRerand {
+		s.rerandomize()
+	}
+	s.rearmTick()
+}
+
+// rearmTick publishes the first cycle at which Tick has work: the next
+// re-randomization or, under Adaptive, the next counter sample, whichever
+// comes first. Without the timer Tick never has work.
+func (s *Stabilizer) rearmTick() {
+	s.lay.TickAt = math.MaxUint64
+	if !s.timerArmed {
 		return
 	}
-	s.rerandomize()
+	s.lay.TickAt = s.nextRerand
+	if s.opts.Adaptive && s.nextSample < s.lay.TickAt {
+		s.lay.TickAt = s.nextSample
+	}
 }
 
 // adaptiveSample compares this window's layout-problem rate (I-cache misses
@@ -593,39 +604,6 @@ func (s *Stabilizer) refillPadTables() {
 			tbl[i+3] = uint8(v >> 24)
 		}
 	}
-}
-
-// RelocCall implements interp.Runtime: calls from relocated code go through
-// the caller's relocation table.
-func (s *Stabilizer) RelocCall(curFn, callee int) (mem.Addr, bool) {
-	if !s.opts.Code {
-		return 0, false
-	}
-	st := &s.funcs[curFn]
-	if st.relocTable == 0 {
-		return 0, false // caller not relocated (NoRelocate functions)
-	}
-	slot := s.slots[curFn][callee]
-	if slot < 0 {
-		return 0, false
-	}
-	return st.relocTable + mem.Addr(slot)*relocSlotSize, true
-}
-
-// RelocGlobal implements interp.Runtime.
-func (s *Stabilizer) RelocGlobal(curFn, g int) (mem.Addr, bool) {
-	if !s.opts.Code {
-		return 0, false
-	}
-	st := &s.funcs[curFn]
-	if st.relocTable == 0 {
-		return 0, false
-	}
-	slot := s.slots[curFn][len(s.m.Funcs)+g]
-	if slot < 0 {
-		return 0, false
-	}
-	return st.relocTable + mem.Addr(slot)*relocSlotSize, true
 }
 
 // Alloc implements interp.Runtime. Allocator faults (exhaustion) propagate

@@ -148,7 +148,7 @@ func TestFunctionsMoveToCodeHeap(t *testing.T) {
 	m := buildProgram(t)
 	_, st := runWith(t, m, core.Options{Code: true, Seed: 4})
 	mainIdx := m.Entry()
-	addr := st.CodeBase(mainIdx)
+	addr := st.Layout().Funcs[mainIdx].Code
 	if addr == mem.CodeBase || addr < mem.MmapLow32 {
 		t.Fatalf("main still at/near static address %#x", uint64(addr))
 	}
@@ -174,7 +174,7 @@ func TestNoRelocateFunctionsStayPut(t *testing.T) {
 	if _, err := interp.Run(m, interp.Options{Machine: mach, Runtime: st}); err != nil {
 		t.Fatal(err)
 	}
-	if st.CodeBase(i2f) != img.FuncAddrs[i2f] {
+	if st.Layout().Funcs[i2f].Code != img.FuncAddrs[i2f] {
 		t.Fatal("NoRelocate conversion function was moved")
 	}
 }
@@ -332,7 +332,7 @@ func TestFineGrainCodeRandomization(t *testing.T) {
 	// static layout for at least some multi-block function.
 	moved := false
 	for fi, f := range m.Funcs {
-		offs := st.BlockOffsets(fi)
+		offs := st.Layout().Funcs[fi].Blocks
 		if offs == nil {
 			continue
 		}
@@ -354,7 +354,7 @@ func TestFineGrainOffsetsDisjoint(t *testing.T) {
 	m := buildProgram(t)
 	_, st := runWith(t, m, core.Options{Code: true, FineGrainCode: true, Seed: 12})
 	for fi, f := range m.Funcs {
-		offs := st.BlockOffsets(fi)
+		offs := st.Layout().Funcs[fi].Blocks
 		if offs == nil {
 			continue
 		}

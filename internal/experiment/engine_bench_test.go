@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/spec"
@@ -12,17 +13,18 @@ import (
 
 // benchEngine measures simulator throughput — retired instructions per host
 // second — for one engine on the headline benchmark (cactusADM, the paper's
-// worst-case workload). The reported instr/s metric is what the CI perf job
-// gates on via szgate; this benchmark is the local, pprof-friendly view of
-// the same number:
+// worst-case workload), natively or under the STABILIZER runtime stab. The
+// native instr/s metric is what the CI perf job gates on via szgate; these
+// benchmarks are the local, pprof-friendly view of the same number, and the
+// stabilized ones the view of the runtime boundary's cost:
 //
 //	go test -run xx -bench BenchmarkEngine ./internal/experiment/ -cpuprofile cpu.prof
-func benchEngine(b *testing.B, eng interp.Engine) {
+func benchEngine(b *testing.B, eng interp.Engine, stab *core.Options) {
 	bm, ok := spec.ByName("cactusADM")
 	if !ok {
 		b.Fatal("cactusADM missing from suite")
 	}
-	cc, err := CompileBench(bm, Config{Scale: 0.2, Level: compiler.O2, Noise: -1, Engine: eng})
+	cc, err := CompileBench(bm, Config{Scale: 0.2, Level: compiler.O2, Noise: -1, Engine: eng, Stabilizer: stab})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,8 +45,20 @@ func benchEngine(b *testing.B, eng interp.Engine) {
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 }
 
-func BenchmarkEngineCompiled(b *testing.B) { benchEngine(b, interp.EngineCompiled) }
-func BenchmarkEngineWalk(b *testing.B)     { benchEngine(b, interp.EngineWalk) }
+func BenchmarkEngineCompiled(b *testing.B) { benchEngine(b, interp.EngineCompiled, nil) }
+func BenchmarkEngineWalk(b *testing.B)     { benchEngine(b, interp.EngineWalk, nil) }
+
+// stabilizedBench is full STABILIZER at the re-randomization interval
+// perfbench's stabilized-levels workload uses.
+var stabilizedBench = &core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 25_000}
+
+func BenchmarkEngineStabilizedCompiled(b *testing.B) {
+	benchEngine(b, interp.EngineCompiled, stabilizedBench)
+}
+
+func BenchmarkEngineStabilizedWalk(b *testing.B) {
+	benchEngine(b, interp.EngineWalk, stabilizedBench)
+}
 
 // BenchmarkCompileSuite measures compiling the 18 suite benchmarks at the
 // gate's scale (0.2), once per optimization level: the compile work a

@@ -269,7 +269,9 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool) (RunRe
 	if prof != nil {
 		// The runtime is still alive here, so the captured layout is the
 		// run's actual one — under randomization, the final placement.
-		prof.CaptureLayout(rt.CodeBase, rt.GlobalAddr)
+		lay := rt.Layout()
+		prof.CaptureLayout(func(fn int) mem.Addr { return lay.Funcs[fn].Code },
+			func(g int) mem.Addr { return lay.Globals[g] })
 		p = prof.Profile()
 	}
 	return out, p, nil

@@ -12,9 +12,14 @@
 //     per possibly-fused instruction) instead of a tree-walk switch with
 //     per-operand decoding, with copy-propagated and dead-code-eliminated
 //     register traffic (see lower.go);
-//   - machine entry: Data8/FetchPre fast paths (see machine/fastpath.go)
-//     instead of the general Data/Fetch, with instruction-fetch set/tag
-//     lookups memoized per layout epoch;
+//   - machine entry: an inline MRU probe for 8-byte data accesses, whose
+//     misses enter machine.Data8Miss directly, and FetchPre (see
+//     machine/fastpath.go) instead of the general Data/Fetch, with
+//     instruction-fetch set/tag lookups memoized per layout epoch;
+//   - runtime entry: code bases, block offsets, relocation slots and
+//     global addresses are read from the runtime's Layout table, so the
+//     runtime is called only for BeforeCall, Alloc, Free and, from the
+//     cycle the table names in TickAt, Tick;
 //   - allocation: register files and frame slots come from a grow-only
 //     arena released on return, whose blocks are reused across runs, and
 //     per-block runtime bookkeeping reuses pre-bound closures, so
@@ -39,6 +44,7 @@ type cframe struct {
 	regs       []uint64
 	stack      []uint64
 	frameBase  mem.Addr
+	fl         *FuncLayout // the function's live layout entry
 	ep         *fnEpoch
 	blockStart uint64
 }
@@ -126,14 +132,7 @@ type cvm struct {
 	m    *ir.Module
 	mach *machine.Machine
 	rt   Runtime
-
-	// native caches the concrete *NativeRuntime when the runtime is exactly
-	// that type, letting the hot path skip interface calls that are no-ops
-	// or plain field reads for the static layout (BeforeCall, Tick,
-	// RelocCall, RelocGlobal, CodeBase, GlobalAddr, BlockOffsets).
-	native      bool
-	funcAddrs   []mem.Addr
-	globalAddrs []mem.Addr
+	lay  *Layout
 
 	globals [][]uint64
 	objects []heapObject
@@ -195,6 +194,7 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 		m:         m,
 		mach:      opts.Machine,
 		rt:        opts.Runtime,
+		lay:       opts.Runtime.Layout(),
 		maxSteps:  opts.MaxSteps,
 		interrupt: opts.Interrupt,
 		rec:       opts.Record,
@@ -208,11 +208,6 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 	en.tlbTags, en.tlbShift, en.tlbMask, en.tlbWays = opts.Machine.TLB.MRUView()
 	en.l1dTags, en.l1dShift, en.l1dMask, en.l1dWays = opts.Machine.L1D.MRUView()
 	en.lineMask = opts.Machine.L1D.LineSize() - 1
-	if nrt, ok := opts.Runtime.(*NativeRuntime); ok {
-		en.native = true
-		en.funcAddrs = nrt.FuncAddrs
-		en.globalAddrs = nrt.GlobalAddrs
-	}
 	if opts.Profile {
 		en.profile = make([]uint64, len(m.Funcs))
 	}
@@ -331,16 +326,30 @@ func (en *cvm) frame(depth int) *cframe {
 }
 
 // globalAddr resolves a global's address, charging the relocation-table
-// indirection exactly as the walk engine's globalAccess does.
+// indirection exactly as the walk engine's globalAccess does. It is small
+// enough to inline, so an access from a function without a relocation table
+// costs no call.
 func (en *cvm) globalAddr(fr *cframe, g int) mem.Addr {
-	if en.native {
-		return en.globalAddrs[g]
+	if fr.fl.Reloc != 0 {
+		en.relocLoad(fr.fl, len(en.lay.Funcs)+g)
 	}
-	if slot, ok := en.rt.RelocGlobal(fr.fn, g); ok {
-		en.mach.Data8(slot)
-		en.mach.Retire(1)
+	return en.lay.Globals[g]
+}
+
+// relocLoad charges the relocation-table load, one extra retired load
+// (§3.3), of the access fl's function makes to symbol sym (a callee, or
+// len(Funcs)+g for global g). It reports false, having charged nothing, if
+// the access is direct.
+func (en *cvm) relocLoad(fl *FuncLayout, sym int) bool {
+	slot, ok := fl.slot(sym)
+	if !ok {
+		return false
 	}
-	return en.rt.GlobalAddr(g)
+	if !en.fastData8(slot) {
+		en.mach.Data8Miss(slot)
+	}
+	en.mach.Retire(1)
+	return true
 }
 
 // epochFor returns the layout-epoch precomputation for one activation's
@@ -389,17 +398,9 @@ func (en *cvm) call(fn int, caller *cframe, argRegs []int32, callerPC mem.Addr, 
 
 	en.callStack = append(en.callStack, callRecord{fn: fn, retPC: callerPC})
 
-	var pad uint64
-	var codeBase mem.Addr
-	var blockOffs []uint64
-	if en.native {
-		// BeforeCall and BlockOffsets are no-ops for the static layout.
-		codeBase = en.funcAddrs[fn]
-	} else {
-		pad = en.rt.BeforeCall(fn)
-		codeBase = en.rt.CodeBase(fn)
-		blockOffs = en.rt.BlockOffsets(fn)
-	}
+	pad := en.rt.BeforeCall(fn)
+	fl := &en.lay.Funcs[fn]
+	codeBase := fl.Code
 
 	frameTop := en.sp - mem.Addr(pad)
 	frameBase := frameTop - mem.Addr(f.FrameSize)
@@ -410,7 +411,9 @@ func (en *cvm) call(fn int, caller *cframe, argRegs []int32, callerPC mem.Addr, 
 	en.sp = frameBase
 
 	mach := en.mach
-	mach.Data8(frameTop - 8)
+	if !en.fastData8(frameTop - 8) {
+		mach.Data8Miss(frameTop - 8)
+	}
 	mach.Retire(1)
 
 	if en.rasLen == rasDepth {
@@ -433,11 +436,14 @@ func (en *cvm) call(fn int, caller *cframe, argRegs []int32, callerPC mem.Addr, 
 	}
 	fr.stack = en.arena.alloc(lf.stackWords)
 	fr.frameBase = frameBase
-	fr.ep = en.epochFor(lf, codeBase, blockOffs)
+	fr.fl = fl
+	fr.ep = en.epochFor(lf, codeBase, fl.Blocks)
 
 	ret, exc := en.exec(fr, depth)
 	if exc != nil {
-		mach.Data8(frameTop - 8)
+		if !en.fastData8(frameTop - 8) {
+			mach.Data8Miss(frameTop - 8)
+		}
 		mach.Stall(unwindCost)
 		if en.rasLen > 0 {
 			en.rasLen--
@@ -449,7 +455,9 @@ func (en *cvm) call(fn int, caller *cframe, argRegs []int32, callerPC mem.Addr, 
 		return 0, exc
 	}
 
-	mach.Data8(frameTop - 8)
+	if !en.fastData8(frameTop - 8) {
+		mach.Data8Miss(frameTop - 8)
+	}
 	mach.Retire(1)
 	if n := en.rasLen; n > 0 && en.ras[n-1] == callerPC {
 		en.rasLen = n - 1
@@ -459,16 +467,10 @@ func (en *cvm) call(fn int, caller *cframe, argRegs []int32, callerPC mem.Addr, 
 			en.rasLen = n - 1
 		}
 	}
-	if callerPC != 0 {
-		// The walk engine re-queries CodeBase here; for the static layout
-		// the address cannot have moved.
-		cur := codeBase
-		if !en.native {
-			cur = en.rt.CodeBase(fn)
-		}
-		if !mem.Below4G(cur) {
-			mach.Stall(mach.Costs.SlowJump)
-		}
+	// The function's current copy, which a re-randomization during the
+	// call may have moved, decides the return sequence.
+	if callerPC != 0 && !mem.Below4G(fl.Code) {
+		mach.Stall(mach.Costs.SlowJump)
 	}
 
 	en.obsFlush()
@@ -538,7 +540,7 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 				mach.FetchPre(lines)
 			}
 		}
-		if !en.native {
+		if mach.Cycles >= en.lay.TickAt {
 			en.rt.Tick(en.tickStack)
 		}
 
@@ -571,12 +573,8 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 						en.rec.record(en.steps, EvCall, uint64(lc.callee), 0, 0)
 					}
 					callPC := eb.pc + lc.pcOff
-					if !en.native {
-						if slot, ok := en.rt.RelocCall(fr.fn, lc.callee); ok {
-							mach.Data8(slot)
-							mach.Retire(1)
-							mach.IndirectBranch(callPC, en.rt.CodeBase(lc.callee))
-						}
+					if fr.fl.Reloc != 0 && en.relocLoad(fr.fl, lc.callee) {
+						mach.IndirectBranch(callPC, en.lay.Funcs[lc.callee].Code)
 					}
 					if en.profile != nil {
 						en.profile[fr.fn] += mach.Cycles - fr.blockStart
@@ -724,18 +722,13 @@ func (en *cvm) free(ptr uint64) {
 	en.freeObj = append(en.freeObj, handle)
 }
 
-// runOps executes one straight-line run of lowered instructions. Each case
-// mirrors the walk engine's switch arm for the same IR op — identical
-// machine charges in the same order, identical recorder events, identical
-// trap kinds and messages. After the primary op, a fused secondary in op2
-// (always a register ALU op or a store; see fuseOps) executes from the
-// d2/a2/b2 operand set, preserving original program order exactly.
 // fastData8 is machine.Data8's MRU-resident fast path, open-coded from the
-// MRUView geometry so it inlines into the dispatch loop (the cross-package
-// Data8 call cannot). For a non-straddling 8-byte access whose line sits in
-// the MRU way of both the TLB and the L1D, the access's entire effect is
-// one hit-counter increment on each — charged here. Any other outcome
-// returns false having changed nothing, and the caller takes mach.Data8.
+// MRUView geometry so it inlines into the dispatch loop (Data8 itself is
+// over the compiler's inlining budget). For a non-straddling 8-byte access
+// whose line sits in the MRU way of both the TLB and the L1D, the access's
+// entire effect is one hit-counter increment on each — charged here. Any
+// other outcome returns false having changed nothing, and the caller takes
+// mach.Data8Miss, which does not probe again.
 func (en *cvm) fastData8(a mem.Addr) bool {
 	if uint64(a)&en.lineMask > en.lineMask-7 {
 		return false
@@ -751,6 +744,12 @@ func (en *cvm) fastData8(a mem.Addr) bool {
 	return false
 }
 
+// runOps executes one straight-line run of lowered instructions. Each case
+// mirrors the walk engine's switch arm for the same IR op — identical
+// machine charges in the same order, identical recorder events, identical
+// trap kinds and messages. After the primary op, a fused secondary in op2
+// (always a register ALU op or a store; see fuseOps) executes from the
+// d2/a2/b2 operand set, preserving original program order exactly.
 func (en *cvm) runOps(fr *cframe, code []cinstr) {
 	mach := en.mach
 	r := fr.regs
@@ -813,7 +812,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			g := int(in.a)
 			addr := en.globalAddr(fr, g) + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op == copLoadGF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -823,7 +822,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			g := int(in.a)
 			addr := en.globalAddr(fr, g) + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op == copStoreGF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -844,7 +843,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			w := ubo >> 3
 			addr := en.globalAddr(fr, g) + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if (in.op == copLoadGFD || in.op == copStoreGFD) && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -862,13 +861,13 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 		case copLoadS:
 			addr := fr.frameBase + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			r[in.d] = fr.stack[in.x>>3]
 		case copLoadSF:
 			addr := fr.frameBase + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -877,7 +876,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 		case copStoreS, copStoreSF:
 			addr := fr.frameBase + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op == copStoreSF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -900,7 +899,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			}
 			addr := fr.frameBase + mem.Addr(slotOff) + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if (in.op == copLoadSFD || in.op == copStoreSFD) && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -944,7 +943,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			w := ubo >> 3
 			addr := obj.addr + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op == copLoadHF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -977,7 +976,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			w := ubo >> 3
 			addr := obj.addr + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op == copStoreHF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -1075,7 +1074,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 		case copLoadS, copLoadSF:
 			addr := fr.frameBase + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op2 == copLoadSF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -1085,7 +1084,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			g := int(in.a2)
 			addr := en.globalAddr(fr, g) + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op2 == copLoadGF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -1115,7 +1114,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			}
 			addr := obj.addr + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op2 == copLoadHF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -1142,7 +1141,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 		case copStoreS, copStoreSF:
 			addr := fr.frameBase + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op2 == copStoreSF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -1157,7 +1156,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			g := int(in.a2)
 			addr := en.globalAddr(fr, g) + mem.Addr(in.x)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op2 == copStoreGF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)
@@ -1194,7 +1193,7 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			w := ubo >> 3
 			addr := obj.addr + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
-				mach.Data8(addr)
+				mach.Data8Miss(addr)
 			}
 			if in.op2 == copStoreHF && uint64(addr)%16 != 0 {
 				mach.Stall(mach.Costs.UnalignedFP)

@@ -1,8 +1,10 @@
 package interp_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -13,6 +15,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 // The cross-engine differential suite: the compiled engine must be
@@ -21,7 +25,9 @@ import (
 // machine's full counter snapshot, and the Observer's window stream. These
 // tests pin that equivalence over hand-built fixtures (covering traps,
 // exceptions, budget aborts, and stack overflow), generated programs, and
-// both the native and the full STABILIZER runtime.
+// the native runtime, the full STABILIZER runtime and the configurations
+// of rtConfigs. The walk engine ticks the runtime at every block, so it is
+// also the reference for the compiled engine's Tick deadline (TickAt).
 
 // windowObs records every observer window verbatim.
 type windowObs struct {
@@ -45,13 +51,56 @@ type engineObservation struct {
 	digest   interp.Digest
 	counters machine.Counters
 	obs      *windowObs
+	// st and windows are the STABILIZER runtime and the trace.Sampler's
+	// windows, when the configuration has them.
+	st      *core.Stabilizer
+	windows []trace.Window
+}
+
+// rtConfig is one runtime configuration of the differential suite: the
+// native static layout (stab nil) or the STABILIZER runtime with stab's
+// options (its seed comes from the run), optionally wrapped in a
+// trace.Sampler with 3 000-cycle windows.
+type rtConfig struct {
+	name   string
+	stab   *core.Options
+	sample bool
+}
+
+var (
+	nativeRT = rtConfig{name: "native"}
+	// stabRT is the full STABILIZER runtime: code/stack/heap randomization,
+	// re-randomized every 2 000 cycles, at basic-block granularity.
+	stabRT = rtConfig{name: "stab", stab: &core.Options{
+		Code: true, Stack: true, Heap: true,
+		Rerandomize: true, Interval: 2_000, FineGrainCode: true,
+	}}
+)
+
+// rtConfigs are the runtimes whose layout tables and Tick deadlines differ
+// from the full STABILIZER's: adaptive sampling (TickAt is the earlier of
+// two deadlines; a low trigger factor makes early re-randomizations
+// common), stack and heap randomization without code randomization (no
+// function ever gets a relocation table), the DieHard heap, and the
+// trace.Sampler around either runtime (TickAt lowered to its next window).
+func rtConfigs() []rtConfig {
+	return []rtConfig{
+		{name: "adaptive", stab: &core.Options{
+			Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 40_000,
+			Adaptive: true, AdaptiveFactor: 1.05,
+		}},
+		{name: "stack+heap", stab: &core.Options{Stack: true, Heap: true, Rerandomize: true, Interval: 2_000}},
+		{name: "diehard", stab: &core.Options{
+			Code: true, Stack: true, Heap: true, UseDieHard: true, Rerandomize: true, Interval: 2_000,
+		}},
+		{name: "sampled-native", sample: true},
+		{name: "sampled-stab", stab: stabRT.stab, sample: true},
+	}
 }
 
 // runEngine executes m (already finalized and sized) under one engine with
-// a fresh machine and runtime. With stabilize set, the full STABILIZER
-// runtime — code/stack/heap randomization with re-randomization — is used;
-// otherwise the native static layout.
-func runEngine(t *testing.T, m *ir.Module, eng interp.Engine, stabilize bool, seed uint64, tune func(*interp.Options)) engineObservation {
+// a fresh machine and the runtime rc names.
+func runEngine(t *testing.T, m *ir.Module, eng interp.Engine, rc rtConfig, seed uint64, tune func(*interp.Options)) engineObservation {
 	t.Helper()
 	as := mem.NewAddressSpace()
 	img, err := compiler.Link(m, compiler.DefaultOrder(len(m.Funcs)), as)
@@ -61,11 +110,11 @@ func runEngine(t *testing.T, m *ir.Module, eng interp.Engine, stabilize bool, se
 	mach := machine.New(machine.DefaultConfig())
 	mach.SetPhysicalSeed(seed)
 	var rt interp.Runtime
-	if stabilize {
-		st, err := core.New(m, mach, as, img.FuncAddrs, img.GlobalAddrs, core.Options{
-			Code: true, Stack: true, Heap: true,
-			Rerandomize: true, Interval: 2_000, FineGrainCode: true, Seed: seed,
-		})
+	var st *core.Stabilizer
+	if rc.stab != nil {
+		opts := *rc.stab
+		opts.Seed = seed
+		st, err = core.New(m, mach, as, img.FuncAddrs, img.GlobalAddrs, opts)
 		if err != nil {
 			t.Fatalf("core: %v", err)
 		}
@@ -78,6 +127,11 @@ func runEngine(t *testing.T, m *ir.Module, eng interp.Engine, stabilize bool, se
 			Heap:        heap.NewSegregated(as),
 			Mach:        mach,
 		}
+	}
+	var sampler *trace.Sampler
+	if rc.sample {
+		sampler = trace.New(rt, mach, 3_000)
+		rt = sampler
 	}
 	obs := &windowObs{}
 	o := interp.Options{
@@ -92,15 +146,27 @@ func runEngine(t *testing.T, m *ir.Module, eng interp.Engine, stabilize bool, se
 		tune(&o)
 	}
 	res, err := interp.Run(m, o)
-	return engineObservation{res: res, err: err, digest: o.Record.Digest(), counters: mach.Snapshot(), obs: obs}
+	got := engineObservation{res: res, err: err, digest: o.Record.Digest(), counters: mach.Snapshot(), obs: obs, st: st}
+	if st != nil && !rc.stab.Code {
+		for fn, fl := range st.Layout().Funcs {
+			if fl.Reloc != 0 {
+				t.Fatalf("%s: function %d has a relocation table without code randomization", rc.name, fn)
+			}
+		}
+	}
+	if sampler != nil {
+		got.windows = sampler.Series().Windows
+	}
+	return got
 }
 
 // diffEngines runs m under both engines in the same configuration and
-// fails on any observable difference.
-func diffEngines(t *testing.T, name string, m *ir.Module, stabilize bool, seed uint64, tune func(*interp.Options)) {
+// fails on any observable difference. It returns the walk engine's
+// observation.
+func diffEngines(t *testing.T, name string, m *ir.Module, rc rtConfig, seed uint64, tune func(*interp.Options)) engineObservation {
 	t.Helper()
-	walk := runEngine(t, m, interp.EngineWalk, stabilize, seed, tune)
-	comp := runEngine(t, m, interp.EngineCompiled, stabilize, seed, tune)
+	walk := runEngine(t, m, interp.EngineWalk, rc, seed, tune)
+	comp := runEngine(t, m, interp.EngineCompiled, rc, seed, tune)
 
 	switch {
 	case (walk.err == nil) != (comp.err == nil):
@@ -131,6 +197,13 @@ func diffEngines(t *testing.T, name string, m *ir.Module, stabilize bool, seed u
 			}
 		}
 	}
+	if walk.st != nil && walk.st.Stats != comp.st.Stats {
+		t.Fatalf("%s: runtime stats divergence:\n  walk:     %+v\n  compiled: %+v", name, walk.st.Stats, comp.st.Stats)
+	}
+	if !reflect.DeepEqual(walk.windows, comp.windows) {
+		t.Fatalf("%s: sampler windows divergence: walk %d windows, compiled %d", name, len(walk.windows), len(comp.windows))
+	}
+	return walk
 }
 
 // prepared compiles a fixture at the given level (stabilized so the core
@@ -178,8 +251,8 @@ func TestEnginesMatchOnFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, lv := range []compiler.OptLevel{compiler.O0, compiler.O2} {
 			m := prepared(t, fx.build(), lv)
-			for _, stab := range []bool{false, true} {
-				diffEngines(t, fmt.Sprintf("%s/%s/stab=%v", fx.name, lv, stab), m, stab, 7, nil)
+			for _, rc := range []rtConfig{nativeRT, stabRT} {
+				diffEngines(t, fmt.Sprintf("%s/%s/%s", fx.name, lv, rc.name), m, rc, 7, nil)
 			}
 		}
 	}
@@ -190,8 +263,8 @@ func TestEnginesMatchOnGeneratedPrograms(t *testing.T) {
 		cfg := ir.GenConfig{Faults: seed%2 == 1}
 		for _, lv := range []compiler.OptLevel{compiler.O1, compiler.O3} {
 			m := prepared(t, ir.Generate(seed, cfg), lv)
-			for _, stab := range []bool{false, true} {
-				diffEngines(t, fmt.Sprintf("gen%d/%s/stab=%v", seed, lv, stab), m, stab, seed, nil)
+			for _, rc := range []rtConfig{nativeRT, stabRT} {
+				diffEngines(t, fmt.Sprintf("gen%d/%s/%s", seed, lv, rc.name), m, rc, seed, nil)
 			}
 		}
 	}
@@ -200,12 +273,12 @@ func TestEnginesMatchOnGeneratedPrograms(t *testing.T) {
 func TestEnginesMatchOnBudgetAbort(t *testing.T) {
 	m := prepared(t, budgetFixture(), compiler.O0)
 	tune := func(o *interp.Options) { o.MaxSteps = 10_000 }
-	for _, stab := range []bool{false, true} {
-		diffEngines(t, fmt.Sprintf("budget/stab=%v", stab), m, stab, 3, tune)
+	for _, rc := range []rtConfig{nativeRT, stabRT} {
+		diffEngines(t, "budget/"+rc.name, m, rc, 3, tune)
 	}
 	// And the error is the structured budget error under both engines.
 	for _, eng := range interp.Engines() {
-		got := runEngine(t, m, eng, false, 3, tune)
+		got := runEngine(t, m, eng, nativeRT, 3, tune)
 		if !errors.Is(got.err, interp.ErrMaxSteps) {
 			t.Fatalf("engine %s: budget abort surfaced as %v", eng, got.err)
 		}
@@ -215,13 +288,91 @@ func TestEnginesMatchOnBudgetAbort(t *testing.T) {
 func TestEnginesMatchOnStackOverflow(t *testing.T) {
 	m := prepared(t, overflowFixture(), compiler.O0)
 	tune := func(o *interp.Options) { o.StackLimit = 1 << 16 }
-	for _, stab := range []bool{false, true} {
-		diffEngines(t, fmt.Sprintf("overflow/stab=%v", stab), m, stab, 11, tune)
+	for _, rc := range []rtConfig{nativeRT, stabRT} {
+		diffEngines(t, "overflow/"+rc.name, m, rc, 11, tune)
 	}
 	for _, eng := range interp.Engines() {
-		got := runEngine(t, m, eng, false, 11, tune)
+		got := runEngine(t, m, eng, nativeRT, 11, tune)
 		if !errors.Is(got.err, interp.ErrStackOverflow) {
 			t.Fatalf("engine %s: overflow surfaced as %v", eng, got.err)
+		}
+	}
+}
+
+// TestEnginesMatchUnderEveryRuntime holds the compiled engine to the walk
+// engine under every configuration of rtConfigs, on the hand-built fixtures
+// and on generated programs: results, digests, counters, observer windows,
+// the STABILIZER runtime's event counts and the sampler's windows must all
+// agree. The adaptive configuration must fire early re-randomizations, or
+// a deadline that missed its samples could go unseen.
+func TestEnginesMatchUnderEveryRuntime(t *testing.T) {
+	type program struct {
+		name string
+		m    *ir.Module
+		seed uint64
+	}
+	var progs []program
+	for _, fx := range []struct {
+		name  string
+		build func() *ir.Module
+	}{{"digestA", digestFixtureA}, {"digestB-doublefree", digestFixtureB}, {"thrower", buildThrower}} {
+		progs = append(progs, program{fx.name, prepared(t, fx.build(), compiler.O2), 7})
+	}
+	// Benchmarks run long enough for dozens of re-randomizations, adaptive
+	// samples and sampler windows.
+	for i, name := range []string{"astar", "gcc"} {
+		progs = append(progs, program{name, benchModule(t, name), uint64(31 + i)})
+	}
+	for _, rc := range rtConfigs() {
+		var triggers uint64
+		for _, p := range progs {
+			walk := diffEngines(t, p.name+"/"+rc.name, p.m, rc, p.seed, nil)
+			if walk.st != nil {
+				triggers += walk.st.Stats.AdaptiveTriggers
+			}
+		}
+		if rc.stab != nil && rc.stab.Adaptive && triggers == 0 {
+			t.Fatalf("%s: no adaptive re-randomization fired on any program", rc.name)
+		}
+	}
+}
+
+// benchModule returns the named suite benchmark at scale 0.05, compiled at
+// -O2 for the STABILIZER runtime.
+func benchModule(t *testing.T, name string) *ir.Module {
+	t.Helper()
+	b, ok := spec.ByName(name)
+	if !ok {
+		t.Fatalf("no benchmark %q", name)
+	}
+	return prepared(t, b.Build(0.05), compiler.O2)
+}
+
+// TestSamplerWindowsMatchReference pins the trace.Sampler's windows on a
+// benchmark, around the native and the STABILIZER runtime, to digests
+// recorded when both engines still called Tick at every block: a Tick
+// deadline that skipped or delayed a capture would move them.
+func TestSamplerWindowsMatchReference(t *testing.T) {
+	m := benchModule(t, "astar")
+	for _, tc := range []struct {
+		rc   rtConfig
+		want uint64
+	}{
+		{rtConfig{name: "sampled-native", sample: true}, 0x44bdec4b4f2a27a2},                  // 26 windows
+		{rtConfig{name: "sampled-stab", stab: stabRT.stab, sample: true}, 0x26ba838ac06eb235}, // 155 windows
+	} {
+		for _, eng := range interp.Engines() {
+			got := runEngine(t, m, eng, tc.rc, 31, nil)
+			if got.err != nil {
+				t.Fatalf("%s/%s: %v", tc.rc.name, eng, got.err)
+			}
+			h := fnv.New64a()
+			if err := binary.Write(h, binary.LittleEndian, got.windows); err != nil {
+				t.Fatal(err)
+			}
+			if d := h.Sum64(); d != tc.want {
+				t.Errorf("%s/%s: %d windows, digest %#x, want %#x", tc.rc.name, eng, len(got.windows), d, tc.want)
+			}
 		}
 	}
 }
@@ -265,8 +416,8 @@ func TestStaleCopyRepro(t *testing.T) {
 	}
 	blk.Instrs[addIdx].Dst = movDst
 
-	walk := runEngine(t, out, interp.EngineWalk, false, 7, nil)
-	comp := runEngine(t, out, interp.EngineCompiled, false, 7, nil)
+	walk := runEngine(t, out, interp.EngineWalk, nativeRT, 7, nil)
+	comp := runEngine(t, out, interp.EngineCompiled, nativeRT, 7, nil)
 	if walk.err != nil || comp.err != nil {
 		t.Fatalf("errs: walk=%v comp=%v", walk.err, comp.err)
 	}

@@ -20,46 +20,82 @@ import (
 	"repro/internal/trap"
 )
 
-// Runtime supplies layout and runtime services to an executing program. The
-// interpreter calls it for every address decision; implementations decide
-// whether layout is static (NativeRuntime) or randomized (the STABILIZER
-// runtime in internal/core).
+// Runtime supplies runtime services to an executing program: the work done
+// at each call (traps, relocation, stack padding), the heap, and timers.
+// Where code and globals sit, and which relocation-table slots a function's
+// calls and global accesses read, the engines do not ask for: they read the
+// runtime's Layout, which the runtime keeps current by writing into it.
+// Implementations decide whether layout is static (NativeRuntime) or
+// randomized (the STABILIZER runtime in internal/core).
 type Runtime interface {
-	// CodeBase returns the address function fn's code currently starts at.
-	CodeBase(fn int) mem.Addr
-	// BlockOffsets returns per-block offsets (relative to CodeBase) for the
-	// current copy of fn, or nil when blocks sit at their static offsets.
-	// A runtime doing basic-block-granularity randomization (the paper's
-	// §8 extension) returns the current copy's permutation; the interpreter
-	// snapshots it together with CodeBase at activation entry, so an
-	// activation keeps executing its own copy even if the function is
-	// re-randomized while it sleeps on the stack.
-	BlockOffsets(fn int) []uint64
-	// GlobalAddr returns the address of global g.
-	GlobalAddr(g int) mem.Addr
+	// Layout returns the run's layout table. The engines fetch it once, at
+	// the start of a run, and read it from then on.
+	Layout() *Layout
 	// StackBase returns the address the stack grows down from.
 	StackBase() mem.Addr
 	// BeforeCall runs just before control transfers to fn. It may charge
 	// runtime costs on the machine (traps, relocation, pad-table loads)
 	// and returns the padding in bytes inserted below the caller's frame.
 	BeforeCall(fn int) (pad uint64)
-	// RelocCall returns the relocation-table slot a call from curFn to
-	// callee reads, or ok=false if the call is direct.
-	RelocCall(curFn, callee int) (slot mem.Addr, ok bool)
-	// RelocGlobal returns the relocation-table slot an access from curFn
-	// to global g reads, or ok=false if the access is absolute.
-	RelocGlobal(curFn, g int) (slot mem.Addr, ok bool)
 	// Alloc and Free implement the program's heap, charging their own
 	// costs on the machine. Allocator misuse and exhaustion are reported
 	// as *trap.TrapError values, which the interpreter stamps with the
 	// retired-instruction index and surfaces as program faults.
 	Alloc(size uint64) (mem.Addr, error)
 	Free(addr mem.Addr) error
-	// Tick runs at every block boundary so the runtime can react to the
-	// passage of simulated time (re-randomization timers). stack yields
-	// the return addresses currently on the simulated call stack, for the
-	// code garbage collector.
+	// Tick runs at block boundaries so the runtime can react to the passage
+	// of simulated time (re-randomization timers). It must have no effect
+	// at a block that starts before Layout().TickAt: the walk engine calls
+	// it at every block, the compiled engine only from that cycle on.
+	// stack yields the return addresses currently on the simulated call
+	// stack, for the code garbage collector; it stays valid for the run.
 	Tick(stack func() []mem.Addr)
+}
+
+// Layout is the part of a runtime's state the engines read on every call,
+// block and global access. The runtime updates it in place: it rewrites
+// entries of Funcs and the TickAt field, and never replaces the Funcs or
+// Globals slices, so a table fetched at the start of a run stays current.
+type Layout struct {
+	// Funcs[fn] is where function fn's current copy sits.
+	Funcs []FuncLayout
+	// Globals[g] is the address of global g.
+	Globals []mem.Addr
+	// TickAt is the first cycle at which Tick can have work (math.MaxUint64
+	// for a runtime without timers). A runtime sets it before the run
+	// starts and moves it only inside Tick.
+	TickAt uint64
+}
+
+// FuncLayout is one function's entry in a Layout.
+type FuncLayout struct {
+	// Code is the address the function's current copy starts at.
+	Code mem.Addr
+	// Blocks holds per-block offsets (relative to Code) for the current
+	// copy, or nil when blocks sit at their static offsets. A runtime
+	// doing basic-block-granularity randomization (the paper's §8
+	// extension) stores a fresh slice per copy and never writes into one
+	// it has published: the engines snapshot Code and Blocks at activation
+	// entry, so an activation keeps executing its own copy even if the
+	// function is re-randomized while it sleeps on the stack.
+	Blocks []uint64
+	// Reloc is the address of the current copy's relocation table, or 0
+	// when the function calls directly and addresses globals absolutely.
+	Reloc mem.Addr
+	// Slots gives, when Reloc is set, the byte offset in the table of the
+	// slot a call to callee (Slots[callee]) or an access to global g
+	// (Slots[len(Funcs)+g]) reads; -1 means that access bypasses the table.
+	Slots []int32
+}
+
+// slot returns the relocation-table slot the function's access to symbol
+// sym (a callee, or len(Funcs)+g for global g) reads, or ok=false if the
+// access is direct.
+func (f *FuncLayout) slot(sym int) (slot mem.Addr, ok bool) {
+	if f.Reloc == 0 || f.Slots[sym] < 0 {
+		return 0, false
+	}
+	return f.Reloc + mem.Addr(f.Slots[sym]), true
 }
 
 // Heap pointer encoding: bit 62 tags a value as a heap pointer; bits 61..32
@@ -141,6 +177,7 @@ type interp struct {
 	m       *ir.Module
 	mach    *machine.Machine
 	rt      Runtime
+	lay     *Layout
 	opts    Options
 	globals [][]uint64
 	objects []heapObject
@@ -236,8 +273,8 @@ func Run(m *ir.Module, opts Options) (Result, error) {
 
 // runWalk executes via the tree-walk engine (the differential reference).
 func runWalk(m *ir.Module, opts Options) (res Result, err error) {
-	it := &interp{m: m, mach: opts.Machine, rt: opts.Runtime, opts: opts,
-		rec: opts.Record}
+	it := &interp{m: m, mach: opts.Machine, rt: opts.Runtime, lay: opts.Runtime.Layout(),
+		opts: opts, rec: opts.Record}
 	if opts.Profile {
 		it.profile = make([]uint64, len(m.Funcs))
 	}
@@ -388,8 +425,8 @@ func (it *interp) call(fn int, args []uint64, callerPC mem.Addr) (uint64, *uint6
 	it.callStack = append(it.callStack, callRecord{fn: fn, retPC: callerPC})
 
 	pad := it.rt.BeforeCall(fn)
-	codeBase := it.rt.CodeBase(fn)
-	blockOffs := it.rt.BlockOffsets(fn)
+	codeBase := it.lay.Funcs[fn].Code
+	blockOffs := it.lay.Funcs[fn].Blocks
 
 	// Frame layout (Figure 4): padding below the caller's frame, then the
 	// return address and frame pointer, then this frame's slots.
@@ -447,7 +484,7 @@ func (it *interp) call(fn int, args []uint64, callerPC mem.Addr) (uint64, *uint6
 			it.ras = it.ras[:n-1]
 		}
 	}
-	if callerPC != 0 && !mem.Below4G(it.rt.CodeBase(fn)) {
+	if callerPC != 0 && !mem.Below4G(it.lay.Funcs[fn].Code) {
 		// Returning out of high memory uses the slow jump sequence (§3.5).
 		it.mach.Stall(it.mach.Costs.SlowJump)
 	}
@@ -475,6 +512,9 @@ func (it *interp) exec(fn int, f *ir.Function, codeBase mem.Addr, blockOffs []ui
 		}
 		blockPC := codeBase + mem.Addr(off)
 		it.mach.Fetch(blockPC, b.Size)
+		// The reference engine ticks at every block, whatever TickAt says,
+		// so the differential suite holds the compiled engine's deadline
+		// to it.
 		it.rt.Tick(it.returnAddrs)
 
 		n := b.Live
@@ -582,13 +622,13 @@ func (it *interp) exec(fn int, f *ir.Function, codeBase mem.Addr, blockOffs []ui
 				// Distinguish call sites within a block: the BTB and the
 				// return-address records key on the site address.
 				callPC := blockPC + mem.Addr(idx)*5
-				if slot, ok := it.rt.RelocCall(fn, callee); ok {
+				if slot, ok := it.lay.Funcs[fn].slot(callee); ok {
 					// Indirect call through the relocation table: one extra
 					// load instruction, then an indirect transfer predicted
 					// by the BTB.
 					it.mach.Data(slot, 8)
 					it.mach.Retire(1)
-					it.mach.IndirectBranch(callPC, it.rt.CodeBase(callee))
+					it.mach.IndirectBranch(callPC, it.lay.Funcs[callee].Code)
 				}
 				args := make([]uint64, len(in.Args))
 				for ai, a := range in.Args {
@@ -706,12 +746,12 @@ func (it *interp) globalAccess(fn int, in *ir.Instr, regs []uint64, store bool) 
 		it.trap(trap.OutOfBounds, "global %s access at byte %d outside %d bytes",
 			it.m.Globals[g].Name, byteOff, len(words)*8)
 	}
-	if slot, ok := it.rt.RelocGlobal(fn, g); ok {
+	if slot, ok := it.lay.Funcs[fn].slot(len(it.lay.Funcs) + g); ok {
 		// The table indirection is one extra load instruction (§3.3).
 		it.mach.Data(slot, 8)
 		it.mach.Retire(1)
 	}
-	addr := it.rt.GlobalAddr(g) + mem.Addr(byteOff)
+	addr := it.lay.Globals[g] + mem.Addr(byteOff)
 	it.mach.Data(addr, 8)
 	if in.Op.IsFloat() && uint64(addr)%16 != 0 {
 		it.mach.Stall(it.mach.Costs.UnalignedFP)

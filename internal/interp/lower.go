@@ -151,7 +151,7 @@ type lowFunc struct {
 // lowBlock is one basic block: segments of straight-line cinstrs separated
 // by control instructions (calls, throws), plus the lowered terminator.
 type lowBlock struct {
-	off  uint64 // static byte offset (overridden by runtime BlockOffsets)
+	off  uint64 // static byte offset (overridden by the layout's FuncLayout.Blocks)
 	size uint64
 	live uint64
 	segs []lowSeg

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"math"
+
 	"repro/internal/heap"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -24,28 +26,28 @@ type NativeRuntime struct {
 	Stack       mem.Addr
 	Heap        heap.Allocator
 	Mach        *machine.Machine
+
+	layout *Layout
 }
 
-// CodeBase implements Runtime.
-func (n *NativeRuntime) CodeBase(fn int) mem.Addr { return n.FuncAddrs[fn] }
-
-// BlockOffsets implements Runtime; native blocks sit at static offsets.
-func (n *NativeRuntime) BlockOffsets(fn int) []uint64 { return nil }
-
-// GlobalAddr implements Runtime.
-func (n *NativeRuntime) GlobalAddr(g int) mem.Addr { return n.GlobalAddrs[g] }
+// Layout implements Runtime: a static table of the linker's addresses, with
+// direct calls, absolute globals and no timer. It is built on first use.
+func (n *NativeRuntime) Layout() *Layout {
+	if n.layout == nil {
+		l := &Layout{Funcs: make([]FuncLayout, len(n.FuncAddrs)), Globals: n.GlobalAddrs, TickAt: math.MaxUint64}
+		for fn, a := range n.FuncAddrs {
+			l.Funcs[fn].Code = a
+		}
+		n.layout = l
+	}
+	return n.layout
+}
 
 // StackBase implements Runtime.
 func (n *NativeRuntime) StackBase() mem.Addr { return n.Stack }
 
 // BeforeCall implements Runtime; native calls have no padding or extra work.
 func (n *NativeRuntime) BeforeCall(fn int) uint64 { return 0 }
-
-// RelocCall implements Runtime; native calls are direct.
-func (n *NativeRuntime) RelocCall(curFn, callee int) (mem.Addr, bool) { return 0, false }
-
-// RelocGlobal implements Runtime; native global accesses are absolute.
-func (n *NativeRuntime) RelocGlobal(curFn, g int) (mem.Addr, bool) { return 0, false }
 
 // Alloc implements Runtime.
 func (n *NativeRuntime) Alloc(size uint64) (mem.Addr, error) {

@@ -10,23 +10,29 @@ import (
 	"repro/internal/mem"
 )
 
-// mockRuntime wraps NativeRuntime and imposes relocation-table indirection
-// on every call and global access, recording the slots it handed out.
+// mockRuntime is a NativeRuntime whose layout table sends every call and
+// global access through a relocation table at slotBase: callee c's slot
+// sits at slotBase+8c and global g's at slotBase+0x1000+8g.
 type mockRuntime struct {
 	interp.NativeRuntime
-	slotBase  mem.Addr
-	callSlots int
-	globSlots int
+	slotBase mem.Addr
 }
 
-func (m *mockRuntime) RelocCall(curFn, callee int) (mem.Addr, bool) {
-	m.callSlots++
-	return m.slotBase + mem.Addr(callee)*8, true
-}
-
-func (m *mockRuntime) RelocGlobal(curFn, g int) (mem.Addr, bool) {
-	m.globSlots++
-	return m.slotBase + 0x1000 + mem.Addr(g)*8, true
+func (m *mockRuntime) Layout() *interp.Layout {
+	lay := m.NativeRuntime.Layout()
+	nf := len(lay.Funcs)
+	for fn := range lay.Funcs {
+		slots := make([]int32, nf+len(lay.Globals))
+		for i := range slots {
+			slots[i] = int32(i) * 8
+			if i >= nf {
+				slots[i] = 0x1000 + int32(i-nf)*8
+			}
+		}
+		lay.Funcs[fn].Reloc = m.slotBase
+		lay.Funcs[fn].Slots = slots
+	}
+	return lay
 }
 
 func buildCallProgram(t *testing.T) *ir.Module {
@@ -56,46 +62,40 @@ func TestRelocIndirectionChargedPerUse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(rt interp.Runtime, mach *machine.Machine) interp.Result {
-		res, err := interp.Run(m, interp.Options{Machine: mach, Runtime: rt})
-		if err != nil {
-			t.Fatal(err)
+	for _, eng := range interp.Engines() {
+		run := func(rt interp.Runtime, mach *machine.Machine) interp.Result {
+			res, err := interp.Run(m, interp.Options{Machine: mach, Runtime: rt, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
 
-	machPlain := machine.New(machine.DefaultConfig())
-	plainRT := &interp.NativeRuntime{
-		FuncAddrs: img.FuncAddrs, GlobalAddrs: img.GlobalAddrs,
-		Stack: as.StackBase(), Heap: nil, Mach: machPlain,
-	}
-	plain := run(plainRT, machPlain)
-
-	machMock := machine.New(machine.DefaultConfig())
-	mock := &mockRuntime{
-		NativeRuntime: interp.NativeRuntime{
+		machPlain := machine.New(machine.DefaultConfig())
+		plain := run(&interp.NativeRuntime{
 			FuncAddrs: img.FuncAddrs, GlobalAddrs: img.GlobalAddrs,
-			Stack: as.StackBase(), Heap: nil, Mach: machMock,
-		},
-		slotBase: 0x30000000,
-	}
-	indirect := run(mock, machMock)
+			Stack: as.StackBase(), Heap: nil, Mach: machPlain,
+		}, machPlain)
 
-	if indirect.Output != plain.Output {
-		t.Fatal("relocation indirection changed program output")
-	}
-	// 10 calls from main (reloc'd) + 1 entry call (not reloc'd: no caller).
-	if mock.callSlots != 10 {
-		t.Fatalf("call slots consulted %d times, want 10", mock.callSlots)
-	}
-	// leaf loads g once per invocation.
-	if mock.globSlots != 10 {
-		t.Fatalf("global slots consulted %d times, want 10", mock.globSlots)
-	}
-	// Each consultation costs at least the extra load instruction.
-	if indirect.Instructions <= plain.Instructions {
-		t.Fatalf("indirection retired %d instructions, plain %d",
-			indirect.Instructions, plain.Instructions)
+		machMock := machine.New(machine.DefaultConfig())
+		indirect := run(&mockRuntime{
+			NativeRuntime: interp.NativeRuntime{
+				FuncAddrs: img.FuncAddrs, GlobalAddrs: img.GlobalAddrs,
+				Stack: as.StackBase(), Heap: nil, Mach: machMock,
+			},
+			slotBase: 0x30000000,
+		}, machMock)
+
+		if indirect.Output != plain.Output {
+			t.Fatalf("%s: relocation indirection changed program output", eng)
+		}
+		// Each slot read is one extra retired load: 10 calls from main (the
+		// entry call has no caller, so it is direct) and 10 loads of g, one
+		// per invocation of leaf.
+		if indirect.Instructions != plain.Instructions+20 {
+			t.Fatalf("%s: indirection retired %d instructions, plain %d; want exactly 20 more",
+				eng, indirect.Instructions, plain.Instructions)
+		}
 	}
 }
 

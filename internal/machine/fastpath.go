@@ -3,11 +3,11 @@
 // The tree-walk interpreter drives the machine through the general
 // Fetch/Data calls, which re-derive line splits, set indices, and tags on
 // every access. The compiled engine instead precomputes those per layout
-// epoch (PrepareFetch → PreLine) and issues accesses through FetchPre and
-// Data8, which perform *exactly* the same cache, TLB, and counter
-// transitions as the general paths — the equivalence the cross-engine
-// differential suite pins down. Any behavioural difference between these
-// functions and Fetch/Data is a bug.
+// epoch (PrepareFetch → PreLine) and issues accesses through FetchPre,
+// Data8 and Data8Miss, which perform *exactly* the same cache, TLB, and
+// counter transitions as the general paths — the equivalence the
+// cross-engine differential suite pins down. Any behavioural difference
+// between these functions and Fetch/Data is a bug.
 package machine
 
 import "repro/internal/mem"
@@ -51,7 +51,9 @@ func (m *Machine) PrepareFetch(a mem.Addr, size uint64, out []PreLine) []PreLine
 // accessPre is Cache.Access with the set-index/tag computation hoisted out:
 // identical hit/miss/eviction/LRU behaviour, lookup coordinates supplied by
 // the caller. The MRU probe indexes the tag array directly so the hit path
-// builds no slice header; only the cold path materializes the set.
+// builds no slice header; only the cold path materializes the set. (It is
+// over the compiler's inlining budget; FetchSteady is the inlinable form of
+// its hit path.)
 func (c *Cache) accessPre(tag uint64, base int32) bool {
 	if c.tags[base] == tag {
 		c.Hits++
@@ -62,23 +64,27 @@ func (c *Cache) accessPre(tag uint64, base int32) bool {
 
 // accessCold handles an access whose tag is not in the MRU way: scan the
 // remaining ways, move-to-front on a hit, install with LRU eviction on a
-// miss. Split out so accessPre's MRU-hit path stays small enough to inline.
-// Every path through here moves tags, so Gen always advances.
+// miss. The scan shifts each way it passes down by one as it goes, so the
+// move-to-front costs no second pass over the set. Every path through here
+// moves tags, so Gen always advances.
 func (c *Cache) accessCold(set []uint64, tag uint64) bool {
 	c.Gen++
+	prev := set[0]
 	for i := 1; i < len(set); i++ {
-		if set[i] == tag {
-			copy(set[1:i+1], set[:i])
+		t := set[i]
+		set[i] = prev
+		if t == tag {
 			set[0] = tag
 			c.Hits++
 			return true
 		}
+		prev = t
 	}
+	// prev is the LRU way the shift pushed out.
 	c.Misses++
-	if set[len(set)-1] != 0 {
+	if prev != 0 {
 		c.Evictions++
 	}
-	copy(set[1:], set[:len(set)-1])
 	set[0] = tag
 	return false
 }
@@ -139,14 +145,17 @@ func (m *Machine) missBelowL1(a mem.Addr) {
 
 // Data8 performs Data(a, 8) through one call: the dominant access shape of
 // the interpreter (every load, store, return-address push, and relocation
-// slot read is 8 bytes). Counter- and state-equivalent to Data(a, 8).
+// slot read is 8 bytes). Counter- and state-equivalent to Data(a, 8); for
+// an 8-aligned a, also to Data(a+k, 1) for any k < 8, since both touch
+// exactly the one line holding a.
 //
 // The fast path probes the MRU way of the TLB set and the L1D set directly:
 // when both hold the line (the steady state of a hot loop) the access is a
 // pair of MRU hits, which mutate nothing but the two hit counters — exactly
-// what Access would have done. The body is small enough to inline into the
-// compiled engine's dispatch loop; any other outcome, and line straddles,
-// take data8Slow, the general path.
+// what Access would have done. Any other outcome, and line straddles, take
+// Data8Miss, the general path. Data8 is over the compiler's inlining
+// budget, so the compiled engine open-codes the probe itself (MRUView) and
+// calls Data8Miss when it fails.
 func (m *Machine) Data8(a mem.Addr) {
 	t, d := m.TLB, m.L1D
 	tl := uint64(a) >> t.lineShift
@@ -158,12 +167,12 @@ func (m *Machine) Data8(a mem.Addr) {
 		d.Hits++
 		return
 	}
-	m.data8Slow(a)
+	m.Data8Miss(a)
 }
 
 // MRUView exposes the lookup geometry of the cache's MRU way so the
 // compiled engine can open-code Data8's resident-line probe inside its own
-// dispatch loop (a cross-package call cannot inline). The returned tag
+// dispatch loop (Data8 is over the inlining budget). The returned tag
 // array is the live one and its identity is stable — Flush and Reset clear
 // it in place — so a caller may hold it for the Machine's lifetime. The probe
 // contract is the one Data8's fast path relies on: for a non-straddling
@@ -174,9 +183,11 @@ func (c *Cache) MRUView() (tags []uint64, lineShift uint, setMask, ways uint64) 
 	return c.tags, c.lineShift, c.setMask, uint64(c.ways)
 }
 
-// data8Slow is Data8's general path: line straddles and anything that is
-// not a double MRU hit, charged exactly as Data(a, 8) would.
-func (m *Machine) data8Slow(a mem.Addr) {
+// Data8Miss is Data8 without its MRU probe, for a caller that has made the
+// probe itself and seen it fail: line straddles and anything that is not a
+// double MRU hit. It is charged exactly as Data(a, 8) would be, whatever a
+// is, so a caller never probes twice.
+func (m *Machine) Data8Miss(a mem.Addr) {
 	line := m.L1D.granularity
 	la := uint64(a) &^ (line - 1)
 	if uint64(a)-la > line-8 {

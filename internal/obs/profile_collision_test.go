@@ -114,7 +114,9 @@ func runCollider(t *testing.T, alias, stabilize bool, seed uint64) *obs.Profile 
 	if _, err := interp.Run(m, interp.Options{Machine: mach, Runtime: rt, Observer: prof}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	prof.CaptureLayout(rt.CodeBase, rt.GlobalAddr)
+	lay := rt.Layout()
+	prof.CaptureLayout(func(fn int) mem.Addr { return lay.Funcs[fn].Code },
+		func(g int) mem.Addr { return lay.Globals[g] })
 	return prof.Profile()
 }
 

@@ -30,10 +30,12 @@ type Series struct {
 }
 
 // Sampler wraps a Runtime and records counter windows as the program runs.
-// It forwards every Runtime call to the inner runtime unchanged, so it can
-// wrap the native runtime or the STABILIZER runtime alike.
+// It forwards every Runtime call to the inner runtime unchanged, and the
+// inner runtime's layout table with TickAt lowered to its own next window,
+// so it can wrap the native runtime or the STABILIZER runtime alike.
 type Sampler struct {
 	inner  interp.Runtime
+	lay    *interp.Layout
 	mach   *machine.Machine
 	window uint64
 	next   uint64
@@ -78,25 +80,33 @@ func (s *Sampler) capture() {
 
 // Runtime interface delegation.
 
-func (s *Sampler) CodeBase(fn int) mem.Addr            { return s.inner.CodeBase(fn) }
-func (s *Sampler) BlockOffsets(fn int) []uint64        { return s.inner.BlockOffsets(fn) }
-func (s *Sampler) GlobalAddr(g int) mem.Addr           { return s.inner.GlobalAddr(g) }
 func (s *Sampler) StackBase() mem.Addr                 { return s.inner.StackBase() }
 func (s *Sampler) BeforeCall(fn int) uint64            { return s.inner.BeforeCall(fn) }
 func (s *Sampler) Alloc(size uint64) (mem.Addr, error) { return s.inner.Alloc(size) }
 func (s *Sampler) Free(addr mem.Addr) error            { return s.inner.Free(addr) }
-func (s *Sampler) RelocCall(c, f int) (mem.Addr, bool) { return s.inner.RelocCall(c, f) }
-func (s *Sampler) RelocGlobal(c, g int) (mem.Addr, bool) {
-	return s.inner.RelocGlobal(c, g)
+
+// Layout forwards the inner runtime's table: the Funcs and Globals entries
+// are the inner runtime's own, which it keeps current in place, while
+// TickAt is the earlier of the inner deadline and the next window, so an
+// engine that calls Tick only from TickAt still samples every window.
+func (s *Sampler) Layout() *interp.Layout {
+	inner := s.inner.Layout()
+	if s.lay == nil {
+		s.lay = &interp.Layout{Funcs: inner.Funcs, Globals: inner.Globals}
+	}
+	s.lay.TickAt = min(inner.TickAt, s.next)
+	return s.lay
 }
 
-// Tick samples when the window elapses, then forwards.
+// Tick samples when the window elapses, then forwards, and re-arms TickAt
+// for the next window and whatever deadline the inner Tick set.
 func (s *Sampler) Tick(stack func() []mem.Addr) {
 	if s.mach.Cycles >= s.next {
 		s.capture()
 		s.next = s.mach.Cycles + s.window
 	}
 	s.inner.Tick(stack)
+	s.Layout()
 }
 
 // IPCSeries returns instructions-per-cycle per window.
