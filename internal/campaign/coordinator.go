@@ -610,11 +610,14 @@ func (c *Coordinator) Acquire(worker string) AcquireResponse {
 // may already be running it; determinism makes the duplicate harmless, but
 // abandoning saves the wasted work).
 //
-// A heartbeat moves the deadline in memory. Once heartbeats have moved it a
-// whole LeaseTTL past the deadline the journal holds, the lease record is
-// journaled again on a "lease extended" line, so a restarted coordinator
+// A heartbeat moves the deadline in memory. Once heartbeats have moved it
+// half a LeaseTTL past the deadline the journal holds, the lease record is
+// journaled again on a "lease extended" line; between those lines a lease
+// costs no journal write. A restarted coordinator therefore restores a
+// deadline more than half a TTL after the worker's last heartbeat, and
+// workers heartbeat less than half a TTL apart (jitterDur(TTL/3)), so it
 // does not expire a lease its worker kept alive and compute the cell
-// again; between those lines a lease costs no journal write.
+// again.
 func (c *Coordinator) Heartbeat(leaseID uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -625,7 +628,7 @@ func (c *Coordinator) Heartbeat(leaseID uint64) bool {
 	}
 	l.deadline = c.opts.now().Add(c.opts.LeaseTTL)
 	c.workerSeen[l.worker] = c.opts.now()
-	if l.deadline.Sub(l.journaled) >= c.opts.LeaseTTL {
+	if l.deadline.Sub(l.journaled) >= c.opts.LeaseTTL/2 {
 		c.eventLocked(l.campaign, "lease extended", obs.F("cell", l.cell.Bench),
 			obs.F("worker", l.worker), obs.F("lease", l.id),
 			obs.F("trace", l.campaign.trace), obs.F("span", obs.SpanID(l.campaign.id, l.cell.Bench, l.attempt)))

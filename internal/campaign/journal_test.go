@@ -537,8 +537,8 @@ func BenchmarkCoordinatorCell(b *testing.B) {
 // worker that has heartbeated its lease for three TTLs is still computing.
 // The restored lease must still be live: its worker's next heartbeat and
 // its completion are accepted, and no other worker is granted the cell.
-// The journal gains one "lease extended" line per TTL of extension, not
-// one per heartbeat.
+// The journal gains one "lease extended" line per half TTL of extension,
+// not one per heartbeat.
 func TestRestartKeepsHeartbeatExtendedLease(t *testing.T) {
 	r := newJournalRig(t, t.TempDir())
 	r.submit("astar")
@@ -576,7 +576,48 @@ func TestRestartKeepsHeartbeatExtendedLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(string(log), `"msg":"lease extended"`); got != 3 {
-		t.Fatalf("%d lease-extended lines for 10 heartbeats, want 3", got)
+	// Heartbeats 2, 4, 6, 8 and 10 each move the deadline 20 s past the
+	// journaled one.
+	if got := strings.Count(string(log), `"msg":"lease extended"`); got != 5 {
+		t.Fatalf("%d lease-extended lines for 10 heartbeats, want 5", got)
+	}
+}
+
+// TestRestartBetweenJournaledHeartbeats restarts the coordinator just after
+// a heartbeat that was not journaled, when the journaled deadline is the
+// oldest it can be. The worker's next heartbeat, a third of a TTL after its
+// last, must still find its lease live, and no other worker may be granted
+// the cell in between.
+func TestRestartBetweenJournaledHeartbeats(t *testing.T) {
+	r := newJournalRig(t, t.TempDir())
+	r.submit("astar")
+	start := r.clock
+	l := r.grant("w1")
+	for i := 1; i <= 5; i++ {
+		r.clock = start.Add(time.Duration(i) * 10 * time.Second)
+		if !r.c.Heartbeat(l.ID) {
+			t.Fatalf("heartbeat at %ds rejected", 10*i)
+		}
+	}
+
+	// Crash, and restart at 51 s. The last heartbeat, at 50 s, moved the
+	// deadline to 80 s in memory only.
+	r.clock = start.Add(51 * time.Second)
+	r.c = r.open()
+	if resp := r.c.Acquire("w2"); resp.Lease != nil {
+		t.Fatalf("restart re-granted a live lease's cell: %+v", resp.Lease)
+	}
+	r.clock = start.Add(60*time.Second + time.Millisecond)
+	if !r.c.Heartbeat(l.ID) {
+		t.Fatal("restart expired a lease whose worker heartbeats every third of a TTL")
+	}
+	if resp := r.c.Acquire("w2"); resp.Lease != nil {
+		t.Fatalf("cell re-granted after the heartbeat: %+v", resp.Lease)
+	}
+	if err := r.complete(l.ID, "w1", ""); err != nil {
+		t.Fatalf("complete after restart: %v", err)
+	}
+	if got := r.c.metrics().Counter("campaign.leases.expired").Value(); got != 0 {
+		t.Fatalf("%d leases expired, want 0", got)
 	}
 }

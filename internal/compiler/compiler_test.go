@@ -577,3 +577,139 @@ func TestCompilationIsDeterministic(t *testing.T) {
 		t.Fatal("two compilations of the same module differ — layout would be nondeterministic")
 	}
 }
+
+// TestInlineChecksBudgetAfterSplice pins when Inline's growth budget is
+// checked: after each splice. A caller already over MaxGrowth still gets its
+// first eligible call inlined, and no more.
+func TestInlineChecksBudgetAfterSplice(t *testing.T) {
+	mb := ir.NewModuleBuilder("budget")
+	sq := mb.Func("sq", 1)
+	sq.Ret(sq.Mul(sq.Param(0), sq.Param(0)))
+	f := mb.Func("main", 0)
+	f.Sink(f.Add(f.Call(sq.Index(), f.ConstI(3)), f.Call(sq.Index(), f.ConstI(4))))
+	f.Ret(ir.NoReg)
+	m := mb.Module()
+	ir.ComputeSizes(m)
+	const budget = 16
+	if size := m.Funcs[f.Index()].Size; size <= budget {
+		t.Fatalf("main is %d bytes; it must start over the %d-byte budget", size, budget)
+	}
+	compiler.Inline{Threshold: 256, MaxGrowth: budget}.Run(m)
+	calls := 0
+	for _, b := range m.Funcs[f.Index()].Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				calls++
+			}
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("%d calls left in main, want 1 (one splice, then the budget stops it)", calls)
+	}
+}
+
+// TestCSESelfOverwrite covers an instruction that overwrites one of its own
+// operands, a = a + b: a following a + b reads the new a, so it is a
+// different value and must not be replaced.
+func TestCSESelfOverwrite(t *testing.T) {
+	mb := ir.NewModuleBuilder("cse3")
+	ga := mb.GlobalInit("ga", []int64{17})
+	gb := mb.GlobalInit("gb", []int64{23})
+	f := mb.Func("main", 0)
+	a, b := f.LoadG(ga, 0, ir.NoReg), f.LoadG(gb, 0, ir.NoReg)
+	f.Add(a, b) // rewritten below to a = a + b
+	f.Sink(f.Add(a, b))
+	f.Ret(ir.NoReg)
+	src := mb.Module()
+	for i, in := range src.Funcs[0].Blocks[0].Instrs {
+		if in.Op == ir.OpAdd {
+			src.Funcs[0].Blocks[0].Instrs[i].Dst = a
+			break
+		}
+	}
+	ref := runNative(t, mustCompile(t, src, compiler.O0))
+	opt := runNative(t, mustCompile(t, src, compiler.O1))
+	if ref.Output != opt.Output {
+		t.Fatalf("CSE replaced a + b after a = a + b: %#x != %#x", opt.Output, ref.Output)
+	}
+}
+
+// TestLICMHoistsFromEntryLoop covers a loop whose header is the entry
+// block: the preheader is built, then swapped into block 0.
+func TestLICMHoistsFromEntryLoop(t *testing.T) {
+	mb := ir.NewModuleBuilder("licm0")
+	g := mb.Func("countdown", 2)
+	n, k := g.Param(0), g.Param(1)
+	exit := g.NewBlock()
+	step := g.Add(k, k) // invariant: its operands are parameters
+	g.MovTo(n, g.Sub(n, step))
+	g.Br(g.CmpLE(n, g.ConstI(0)), exit, 0)
+	g.SetBlock(exit)
+	g.Ret(n)
+	f := mb.Func("main", 0)
+	f.Sink(f.Call(g.Index(), f.ConstI(11), f.ConstI(1)))
+	f.Ret(ir.NoReg)
+	src := mb.Module()
+
+	m := src.Clone()
+	compiler.LICM{}.Run(m)
+	m.Finalize()
+	ir.ComputeSizes(m)
+	if err := m.Validate(); err != nil {
+		t.Fatalf("LICM output invalid: %v", err)
+	}
+	cd := m.Funcs[g.Index()]
+	hoisted := false
+	for _, in := range cd.Blocks[0].Instrs {
+		hoisted = hoisted || (in.Op == ir.OpAdd && in.A == k && in.B == k)
+	}
+	if len(cd.Blocks) != 3 || !hoisted {
+		t.Fatalf("entry loop: %d blocks, invariant in block 0: %v; want a preheader in block 0 holding it", len(cd.Blocks), hoisted)
+	}
+	ref := runNative(t, mustCompile(t, src, compiler.O0))
+	if got := runNative(t, m); got.Output != ref.Output {
+		t.Fatalf("LICM changed output: %#x != %#x", got.Output, ref.Output)
+	}
+}
+
+// TestGlobalCSEKeepsEveryDefinition covers an expression computed in two
+// blocks, neither dominating the other. Each later recomputation must reuse
+// the definition that dominates it: the first one recorded for one use, the
+// second for the other.
+func TestGlobalCSEKeepsEveryDefinition(t *testing.T) {
+	mb := ir.NewModuleBuilder("gcse")
+	g := mb.GlobalInit("g", []int64{5, 7, 1})
+	f := mb.Func("main", 0)
+	a, b, c := f.LoadG(g, 0, ir.NoReg), f.LoadG(g, 8, ir.NoReg), f.LoadG(g, 16, ir.NoReg)
+	e, th, u, j, l := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	f.Br(c, e, th) // reverse postorder: entry, th, e, j, l, u
+	f.SetBlock(e)
+	x := f.Add(a, b)
+	f.Sink(x)
+	f.Br(c, u, j)
+	f.SetBlock(u) // dominated by e only
+	z1 := f.Add(a, b)
+	f.Sink(z1)
+	f.Ret(ir.NoReg)
+	f.SetBlock(th)
+	f.Jmp(j)
+	f.SetBlock(j) // reached from e and th: x does not dominate it
+	y := f.Add(a, b)
+	f.Sink(y)
+	f.Jmp(l)
+	f.SetBlock(l) // dominated by j
+	z2 := f.Add(a, b)
+	f.Sink(z2)
+	f.Ret(ir.NoReg)
+	m := mb.Module()
+	compiler.GlobalCSE{}.Run(m)
+	for _, want := range []struct {
+		block   int
+		dst, of ir.Reg
+	}{{u, z1, x}, {l, z2, y}} {
+		in := m.Funcs[0].Blocks[want.block].Instrs[0]
+		if in.Dst != want.dst || in.Op != ir.OpMov || in.A != want.of {
+			t.Errorf("block %d starts r%d = %s r%d, want r%d = mov r%d", want.block, in.Dst, in.Op, in.A, want.dst, want.of)
+		}
+	}
+}

@@ -33,31 +33,32 @@ func (p Inline) Run(m *ir.Module) {
 	entry := m.Entry()
 
 	for fi, f := range m.Funcs {
-		budgetHit := false
 		// Repeatedly inline the first eligible call site until none remain
-		// or the growth budget is hit.
-		for !budgetHit {
-			site := findInlineSite(m, fi, f, entry, reach, throwy, p.Threshold)
-			if site == nil {
+		// or the growth budget is hit. A splice changes only its caller, so
+		// only the caller is re-sized, and no site's eligibility changes
+		// while the caller is processed. The blocks before a splice held
+		// no eligible site and the splice adds none to its own block, so
+		// the scan for the next site resumes at the block after it.
+		for from := 0; ; {
+			bi, ii, ok := findInlineSite(m, fi, f, from, entry, reach, throwy, p.Threshold)
+			if !ok {
 				break
 			}
-			inlineCall(m, f, site.block, site.index)
-			ir.ComputeSizes(m)
+			inlineCall(m, f, bi, ii)
+			f.ComputeSizes()
 			if f.Size > p.MaxGrowth {
-				budgetHit = true
+				break
 			}
+			from = bi + 1
 		}
 	}
-	ir.ComputeSizes(m)
 }
 
-type inlineSite struct {
-	block, index int
-}
-
-// findInlineSite locates the first call in f eligible for inlining.
-func findInlineSite(m *ir.Module, fi int, f *ir.Function, entry int, reach [][]bool, throwy []bool, threshold uint64) *inlineSite {
-	for bi, b := range f.Blocks {
+// findInlineSite locates the first call in f, from block from on, eligible
+// for inlining.
+func findInlineSite(m *ir.Module, fi int, f *ir.Function, from, entry int, reach reachability, throwy []bool, threshold uint64) (bi, ii int, ok bool) {
+	for bi := from; bi < len(f.Blocks); bi++ {
+		b := f.Blocks[bi]
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
 			if in.Op != ir.OpCall {
@@ -79,19 +80,19 @@ func findInlineSite(m *ir.Module, fi int, f *ir.Function, entry int, reach [][]b
 			if cf.Size > threshold {
 				continue
 			}
-			if reach[callee][fi] || reach[callee][callee] {
+			if reach.has(callee, fi) || reach.has(callee, callee) {
 				continue // mutual or self recursion: inlining would unroll forever
 			}
-			return &inlineSite{block: bi, index: ii}
+			return bi, ii, true
 		}
 	}
-	return nil
+	return 0, 0, false
 }
 
 // throwyFuncs reports, per function, whether it may raise an exception,
 // directly or through a callee (invokes that catch internally still count,
 // conservatively). reach is callReachability(m).
-func throwyFuncs(m *ir.Module, reach [][]bool) []bool {
+func throwyFuncs(m *ir.Module, reach reachability) []bool {
 	out := make([]bool, len(m.Funcs))
 	for t, f := range m.Funcs {
 		if !containsThrow(f) {
@@ -99,7 +100,7 @@ func throwyFuncs(m *ir.Module, reach [][]bool) []bool {
 		}
 		out[t] = true
 		for fi := range m.Funcs {
-			if reach[fi][t] {
+			if reach.has(fi, t) {
 				out[fi] = true
 			}
 		}
@@ -118,36 +119,47 @@ func containsThrow(f *ir.Function) bool {
 	return false
 }
 
-// callReachability computes transitive reachability over the call graph:
-// reach[a][b] means a can (transitively) call b.
-func callReachability(m *ir.Module) [][]bool {
+// reachability is the transitive closure of the call graph, a row of bits
+// per function.
+type reachability struct {
+	words int // words per row
+	bits  []uint64
+}
+
+// has reports whether a can (transitively) call b.
+func (r reachability) has(a, b int) bool {
+	return r.bits[a*r.words+b/64]&(1<<(uint(b)%64)) != 0
+}
+
+func (r reachability) row(a int) []uint64 { return r.bits[a*r.words : (a+1)*r.words] }
+
+// callReachability computes transitive reachability over the call graph.
+func callReachability(m *ir.Module) reachability {
 	n := len(m.Funcs)
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-	}
+	r := reachability{words: (n + 63) / 64}
+	r.bits = make([]uint64, n*r.words)
 	for fi, f := range m.Funcs {
+		row := r.row(fi)
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
-				if b.Instrs[i].Op == ir.OpCall {
-					reach[fi][b.Instrs[i].Sym] = true
+				if in := &b.Instrs[i]; in.Op == ir.OpCall {
+					row[in.Sym/64] |= 1 << (uint(in.Sym) % 64)
 				}
 			}
 		}
 	}
 	for k := 0; k < n; k++ {
+		rk := r.row(k)
 		for i := 0; i < n; i++ {
-			if !reach[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if reach[k][j] {
-					reach[i][j] = true
+			if r.has(i, k) {
+				ri := r.row(i)
+				for w := range ri {
+					ri[w] |= rk[w]
 				}
 			}
 		}
 	}
-	return reach
+	return r
 }
 
 // inlineCall splices the callee's body into f at the given call site.
@@ -236,5 +248,5 @@ func inlineCall(m *ir.Module, f *ir.Function, bi, ii int) {
 		}
 		f.Blocks = append(f.Blocks, nb)
 	}
-	m.Finalize() // recompute frame offsets after slot merge
+	f.Finalize() // recompute frame offsets after slot merge
 }

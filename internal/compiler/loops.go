@@ -1,63 +1,96 @@
 package compiler
 
-import "repro/internal/ir"
+import (
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // cfg holds per-function control-flow analysis shared by the loop passes.
+// A pass keeps one cfg and rebuilds it for each function, reusing its
+// storage, so the analysis allocates per pass, not per block.
 type cfg struct {
 	f     *ir.Function
 	succs [][]int
 	preds [][]int
 	idom  []int // immediate dominator; entry's idom is itself
 	order []int // reverse-postorder numbering
+
+	// Storage that build reuses from one function to the next.
+	edges  []int // the successor lists, then the predecessor lists
+	counts []int
+	seen   []bool
+	post   []int
+	rpoNum []int
 }
 
-// buildCFG computes successors, predecessors, and dominators for f.
-func buildCFG(f *ir.Function) *cfg {
+// build computes successors, predecessors, and dominators for f.
+func (c *cfg) build(f *ir.Function) {
 	n := len(f.Blocks)
-	c := &cfg{f: f, succs: make([][]int, n), preds: make([][]int, n), idom: make([]int, n)}
+	c.f = f
+	c.succs, c.preds, c.idom = resize(c.succs, n), resize(c.preds, n), resize(c.idom, n)
+	// A block has at most two successors, so the successor lists are
+	// windows of 2n ints and the predecessor lists windows of the 2n after.
+	c.edges = resize(c.edges, 4*n)
+	succ, pred := c.edges[:2*n], c.edges[2*n:]
+	c.counts = resize(c.counts, n)
+	clear(c.counts)
 	for i, b := range f.Blocks {
+		s := succ[2*i : 2*i : 2*i+2]
 		switch b.Term.Kind {
 		case ir.TermJmp:
-			c.succs[i] = []int{b.Term.Then}
+			s = append(s, b.Term.Then)
 		case ir.TermBr:
-			c.succs[i] = []int{b.Term.Then, b.Term.Else}
+			s = append(s, b.Term.Then, b.Term.Else)
 		}
-		for _, s := range c.succs[i] {
-			c.preds[s] = append(c.preds[s], i)
+		c.succs[i] = s
+		for _, t := range s {
+			c.counts[t]++
+		}
+	}
+	off := 0
+	for t, k := range c.counts {
+		c.preds[t] = pred[off : off : off+k]
+		off += k
+	}
+	for i, s := range c.succs {
+		for _, t := range s {
+			c.preds[t] = append(c.preds[t], i)
 		}
 	}
 	c.computeOrder()
 	c.computeDominators()
-	return c
 }
 
 // computeOrder numbers reachable blocks in reverse postorder.
 func (c *cfg) computeOrder() {
 	n := len(c.f.Blocks)
-	seen := make([]bool, n)
-	post := make([]int, 0, n)
-	var dfs func(int)
-	dfs = func(b int) {
-		seen[b] = true
-		for _, s := range c.succs[b] {
-			if !seen[s] {
-				dfs(s)
-			}
+	c.seen = resize(c.seen, n)
+	clear(c.seen)
+	c.post = c.post[:0]
+	c.dfs(0)
+	c.order = resize(c.order, len(c.post))
+	for i, b := range c.post {
+		c.order[len(c.post)-1-i] = b
+	}
+}
+
+func (c *cfg) dfs(b int) {
+	c.seen[b] = true
+	for _, s := range c.succs[b] {
+		if !c.seen[s] {
+			c.dfs(s)
 		}
-		post = append(post, b)
 	}
-	dfs(0)
-	c.order = make([]int, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		c.order = append(c.order, post[i])
-	}
+	c.post = append(c.post, b)
 }
 
 // computeDominators runs the iterative algorithm of Cooper, Harvey, and
 // Kennedy over the reverse postorder.
 func (c *cfg) computeDominators() {
 	n := len(c.f.Blocks)
-	rpoNum := make([]int, n)
+	c.rpoNum = resize(c.rpoNum, n)
+	rpoNum := c.rpoNum
 	for i := range rpoNum {
 		rpoNum[i] = -1
 	}
@@ -120,49 +153,6 @@ func (c *cfg) dominates(a, b int) bool {
 	}
 }
 
-// loop is a natural loop: a header plus its body blocks.
-type loop struct {
-	header int
-	blocks map[int]bool
-}
-
-// naturalLoops finds the natural loop of every back edge, merging loops that
-// share a header.
-func (c *cfg) naturalLoops() []*loop {
-	byHeader := map[int]*loop{}
-	for _, u := range c.order {
-		for _, h := range c.succs[u] {
-			if !c.dominates(h, u) {
-				continue // not a back edge
-			}
-			l := byHeader[h]
-			if l == nil {
-				l = &loop{header: h, blocks: map[int]bool{h: true}}
-				byHeader[h] = l
-			}
-			// Walk backwards from u collecting nodes that reach u without
-			// passing through h.
-			stack := []int{u}
-			for len(stack) > 0 {
-				b := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if l.blocks[b] {
-					continue
-				}
-				l.blocks[b] = true
-				stack = append(stack, c.preds[b]...)
-			}
-		}
-	}
-	out := make([]*loop, 0, len(byHeader))
-	for _, o := range c.order {
-		if l, ok := byHeader[o]; ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // LICM hoists loop-invariant pure computations into a preheader. Because the
 // IR is not SSA, an instruction is hoisted only when it is the sole
 // definition of its destination inside the loop, its destination is not read
@@ -175,19 +165,31 @@ func (LICM) Name() string { return "licm" }
 
 // Run implements Pass.
 func (LICM) Run(m *ir.Module) {
+	var l licm
 	for _, f := range m.Funcs {
-		licmFunc(f)
+		l.function(f)
 	}
 }
 
-func licmFunc(f *ir.Function) {
+// licm holds LICM's analysis storage, reused by every loop of a pass.
+type licm struct {
+	cfg    cfg
+	inLoop []bool // membership of the current loop's blocks
+	blocks []int  // the current loop's blocks, ascending
+	defs   []int  // definitions of each register inside the current loop
+	stack  []int
+}
+
+func (l *licm) function(f *ir.Function) {
 	// Hoisting inserts preheaders, which invalidates the CFG analysis, so
-	// rebuild and retry until no loop yields further motion.
+	// rebuild and retry until no loop yields further motion. Loops are
+	// taken in their headers' reverse postorder.
+	c := &l.cfg
 	for rounds := 0; rounds < 16; rounds++ {
-		c := buildCFG(f)
+		c.build(f)
 		changed := false
-		for _, l := range c.naturalLoops() {
-			if hoistLoop(f, c, l) {
+		for _, h := range c.order {
+			if l.loopAt(h) && l.hoist(f, h) {
 				changed = true
 				break // CFG is stale after a preheader insertion
 			}
@@ -198,42 +200,66 @@ func licmFunc(f *ir.Function) {
 	}
 }
 
-// sortedBlocks returns the loop's block indices in ascending order, keeping
-// pass output deterministic (map iteration order must never influence
-// generated code — generated code *is* layout).
-func sortedBlocks(l *loop) []int {
-	out := make([]int, 0, len(l.blocks))
-	for b := range l.blocks {
-		out = append(out, b)
+// loopAt collects the natural loop headed by h, the union of the natural
+// loops of every back edge into h, into l.inLoop and l.blocks, and reports
+// whether h heads a loop.
+func (l *licm) loopAt(h int) bool {
+	c := &l.cfg
+	for _, b := range l.blocks {
+		l.inLoop[b] = false
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	l.blocks = l.blocks[:0]
+	l.inLoop = resize(l.inLoop, len(c.f.Blocks))
+	for _, u := range c.preds[h] {
+		if !c.dominates(h, u) {
+			continue // not a back edge
+		}
+		if len(l.blocks) == 0 {
+			l.inLoop[h] = true
+			l.blocks = append(l.blocks, h)
+		}
+		// Walk backwards from u collecting nodes that reach u without
+		// passing through h.
+		l.stack = append(l.stack[:0], u)
+		for len(l.stack) > 0 {
+			b := l.stack[len(l.stack)-1]
+			l.stack = l.stack[:len(l.stack)-1]
+			if l.inLoop[b] {
+				continue
+			}
+			l.inLoop[b] = true
+			l.blocks = append(l.blocks, b)
+			l.stack = append(l.stack, c.preds[b]...)
 		}
 	}
-	return out
+	// hoist visits the blocks in ascending order, which fixes the order of
+	// the preheader's instructions: generated code *is* layout.
+	slices.Sort(l.blocks)
+	return len(l.blocks) > 0
 }
 
-// defsIn counts definitions of each register inside the loop.
-func defsIn(f *ir.Function, l *loop) []int {
-	defs := make([]int, f.NumRegs)
-	for b := range l.blocks {
+// countDefs counts definitions of each register inside the current loop.
+func (l *licm) countDefs(f *ir.Function) []int {
+	l.defs = resize(l.defs, f.NumRegs)
+	clear(l.defs)
+	for _, b := range l.blocks {
 		for i := range f.Blocks[b].Instrs {
 			in := &f.Blocks[b].Instrs[i]
 			if in.Op == ir.OpNop {
 				continue
 			}
 			if in.Dst != ir.NoReg && !in.Op.IsStore() {
-				defs[in.Dst]++
+				l.defs[in.Dst]++
 			}
 		}
 	}
-	return defs
+	return l.defs
 }
 
-func hoistLoop(f *ir.Function, c *cfg, l *loop) bool {
-	defs := defsIn(f, l)
-	blocks := sortedBlocks(l)
+// hoist moves the current loop's invariant computations into a new
+// preheader of header and reports whether it moved any.
+func (l *licm) hoist(f *ir.Function, header int) bool {
+	defs := l.countDefs(f)
 
 	// An instruction may move only once its operands are defined outside
 	// the loop, so iterate to a fixpoint; the resulting hoisted sequence is
@@ -241,7 +267,7 @@ func hoistLoop(f *ir.Function, c *cfg, l *loop) bool {
 	var hoisted []ir.Instr
 	for moved := true; moved; {
 		moved = false
-		for _, b := range blocks {
+		for _, b := range l.blocks {
 			blk := f.Blocks[b]
 			for i := range blk.Instrs {
 				in := &blk.Instrs[i]
@@ -257,7 +283,7 @@ func hoistLoop(f *ir.Function, c *cfg, l *loop) bool {
 				if in.B != ir.NoReg && defs[in.B] != 0 {
 					continue
 				}
-				if !readsConfined(f, l, b, i, in.Dst) {
+				if !readsConfined(f, b, i, in.Dst) {
 					continue
 				}
 				hoisted = append(hoisted, *in)
@@ -276,23 +302,23 @@ func hoistLoop(f *ir.Function, c *cfg, l *loop) bool {
 	pre := len(f.Blocks)
 	f.Blocks = append(f.Blocks, &ir.Block{
 		Instrs: hoisted,
-		Term:   ir.Terminator{Kind: ir.TermJmp, Then: l.header, Cond: ir.NoReg, Val: ir.NoReg},
+		Term:   ir.Terminator{Kind: ir.TermJmp, Then: header, Cond: ir.NoReg, Val: ir.NoReg},
 	})
-	for _, p := range c.preds[l.header] {
-		if l.blocks[p] {
+	for _, p := range l.cfg.preds[header] {
+		if l.inLoop[p] {
 			continue // back edge stays on the header
 		}
 		t := &f.Blocks[p].Term
 		if t.Kind == ir.TermJmp || t.Kind == ir.TermBr {
-			if t.Then == l.header {
+			if t.Then == header {
 				t.Then = pre
 			}
-			if t.Kind == ir.TermBr && t.Else == l.header {
+			if t.Kind == ir.TermBr && t.Else == header {
 				t.Else = pre
 			}
 		}
 	}
-	if l.header == 0 {
+	if header == 0 {
 		// The entry block cannot have a preheader spliced in front without
 		// renumbering; loops produced by the builder never start at block
 		// 0, but guard anyway by swapping the blocks.
@@ -307,7 +333,7 @@ func hoistLoop(f *ir.Function, c *cfg, l *loop) bool {
 // (Reads outside the loop would observe the hoisted value even when the loop
 // body never runs, so they disqualify hoisting; reads before the definition
 // would observe the previous value.)
-func readsConfined(f *ir.Function, l *loop, b, i int, reg ir.Reg) bool {
+func readsConfined(f *ir.Function, b, i int, reg ir.Reg) bool {
 	reads := func(in *ir.Instr, r ir.Reg) bool {
 		if in.A == r || in.B == r {
 			return true
@@ -368,35 +394,47 @@ func (GlobalCSE) Name() string { return "globalcse" }
 
 // Run implements Pass.
 func (GlobalCSE) Run(m *ir.Module) {
+	var g gcse
 	for _, f := range m.Funcs {
-		globalCSEFunc(f)
+		g.function(f)
 	}
 }
 
-func globalCSEFunc(f *ir.Function) {
-	defs := make([]int, f.NumRegs)
+// gcse holds GlobalCSE's tables, reused by every function of a pass.
+type gcse struct {
+	defs  []int     // definitions of each register in the function
+	avail exprTable // x and y: first and last of the expression's defs in chain
+	chain []gcseDef
+	cfg   cfg
+}
+
+// gcseDef is an available definition of an expression: the register that
+// holds it, the block that computes it, and the next definition of the
+// same expression (-1 for none), in the order they were recorded.
+type gcseDef struct {
+	reg         ir.Reg
+	block, next int32
+}
+
+func (g *gcse) function(f *ir.Function) {
+	g.defs = resize(g.defs, f.NumRegs)
+	clear(g.defs)
+	instrs := 0
 	for _, b := range f.Blocks {
+		instrs += len(b.Instrs)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op != ir.OpNop && in.Dst != ir.NoReg && !in.Op.IsStore() {
-				defs[in.Dst]++
+				g.defs[in.Dst]++
 			}
 		}
 	}
-	single := func(r ir.Reg) bool { return r == ir.NoReg || defs[r] == 1 }
+	single := func(r ir.Reg) bool { return r == ir.NoReg || g.defs[r] == 1 }
 
-	c := buildCFG(f)
-	type gKey struct {
-		op   ir.Op
-		a, b ir.Reg
-		imm  int64
-	}
-	type gDef struct {
-		reg   ir.Reg
-		block int
-	}
-	avail := map[gKey][]gDef{}
-
+	c := &g.cfg
+	c.build(f)
+	g.avail.reset(instrs)
+	g.chain = g.chain[:0]
 	for _, bi := range c.order {
 		blk := f.Blocks[bi]
 		for i := range blk.Instrs {
@@ -407,17 +445,27 @@ func globalCSEFunc(f *ir.Function) {
 			if !single(in.Dst) || !single(in.A) || !single(in.B) {
 				continue
 			}
-			key := gKey{op: in.Op, a: in.A, b: in.B, imm: in.Imm}
+			key := exprKey{op: in.Op, a: int32(in.A), b: int32(in.B), imm: in.Imm}
+			e := g.avail.find(key)
+			known := e.gen == g.avail.gen
 			replaced := false
-			for _, d := range avail[key] {
-				if d.reg != in.Dst && c.dominates(d.block, bi) {
-					in.Op, in.A, in.B, in.Imm = ir.OpMov, d.reg, ir.NoReg, 0
+			for d := e.x; known && d >= 0; d = g.chain[d].next {
+				if def := g.chain[d]; def.reg != in.Dst && c.dominates(int(def.block), bi) {
+					in.Op, in.A, in.B, in.Imm = ir.OpMov, def.reg, ir.NoReg, 0
 					replaced = true
 					break
 				}
 			}
-			if !replaced {
-				avail[key] = append(avail[key], gDef{reg: in.Dst, block: bi})
+			if replaced {
+				continue
+			}
+			d := int32(len(g.chain))
+			g.chain = append(g.chain, gcseDef{reg: in.Dst, block: int32(bi), next: -1})
+			if known {
+				g.chain[e.y].next = d
+				e.y = d
+			} else {
+				*e = exprSlot{key: key, gen: g.avail.gen, x: d, y: d}
 			}
 		}
 	}

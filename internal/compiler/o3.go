@@ -117,20 +117,23 @@ func (IPConstProp) Run(m *ir.Module) {
 		}
 	}
 
+	var konst regTable[int64]
+	regs, _ := largest(m)
+	konst.reset(regs)
 	for _, f := range m.Funcs {
 		// Block-local constant tracking mirrors ConstFold.
 		for _, b := range f.Blocks {
-			konst := map[ir.Reg]int64{}
+			konst.reset(f.NumRegs)
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				switch in.Op {
 				case ir.OpConstI, ir.OpConstF:
-					konst[in.Dst] = in.Imm
+					konst.set(in.Dst, in.Imm)
 					continue
 				case ir.OpCall:
 					ps := params[in.Sym]
 					for ai, a := range in.Args {
-						v, ok := konst[a]
+						v, ok := konst.get(a)
 						p := &ps[ai]
 						if !ok {
 							p.same = false
@@ -142,7 +145,7 @@ func (IPConstProp) Run(m *ir.Module) {
 					}
 				}
 				if in.Dst != ir.NoReg && !in.Op.IsStore() {
-					delete(konst, in.Dst)
+					konst.del(in.Dst)
 				}
 			}
 		}

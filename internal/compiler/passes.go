@@ -35,54 +35,58 @@ func (ConstFold) Name() string { return "constfold" }
 
 // Run implements Pass.
 func (ConstFold) Run(m *ir.Module) {
+	var konst regTable[int64] // registers known constant at this point of a block
+	regs, instrs := largest(m)
+	konst.reset(regs + instrs)
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
-			foldBlock(f, b)
+			foldBlock(f, b, &konst)
 		}
 	}
 }
 
-func foldBlock(f *ir.Function, b *ir.Block) {
-	konst := map[ir.Reg]int64{} // registers known constant at this point
-	val := func(r ir.Reg) (int64, bool) {
-		v, ok := konst[r]
-		return v, ok
-	}
-	out := make([]ir.Instr, 0, len(b.Instrs))
+// foldBlock rewrites b in place. Only a strength reduction inserts an
+// instruction; from the first one on, the block is rebuilt in a new slice.
+func foldBlock(f *ir.Function, b *ir.Block, konst *regTable[int64]) {
+	// Each instruction adds at most one register, the shift count.
+	konst.reset(f.NumRegs + len(b.Instrs))
+	var out []ir.Instr // nil while the rewrite is in place
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
-		out = append(out, *in)
-		in = &out[len(out)-1]
+		if out != nil {
+			out = append(out, *in)
+			in = &out[len(out)-1]
+		}
 		// Any write invalidates previous knowledge of the destination.
 		invalidate := func() {
 			if in.Dst != ir.NoReg && in.Op != ir.OpStoreH && in.Op != ir.OpStoreHF {
-				delete(konst, in.Dst)
+				konst.del(in.Dst)
 			}
 		}
 		switch in.Op {
 		case ir.OpConstI, ir.OpConstF:
-			konst[in.Dst] = in.Imm
+			konst.set(in.Dst, in.Imm)
 			continue
 		case ir.OpMov:
 			invalidate()
-			if v, ok := val(in.A); ok {
+			if v, ok := konst.get(in.A); ok {
 				in.Op, in.Imm, in.A = ir.OpConstI, v, ir.NoReg
-				konst[in.Dst] = v
+				konst.set(in.Dst, v)
 			}
 			continue
 		}
 		a, aok := int64(0), false
 		bv, bok := int64(0), false
 		if in.A != ir.NoReg {
-			a, aok = val(in.A)
+			a, aok = konst.get(in.A)
 		}
 		if in.B != ir.NoReg {
-			bv, bok = val(in.B)
+			bv, bok = konst.get(in.B)
 		}
 		if folded, ok := foldOp(in.Op, a, aok, bv, bok); ok {
 			invalidate()
 			in.Op, in.Imm, in.A, in.B = ir.OpConstI, folded, ir.NoReg, ir.NoReg
-			konst[in.Dst] = folded
+			konst.set(in.Dst, folded)
 			continue
 		}
 		// Strength reduction: x * 2^k -> x << k, with the shift count
@@ -95,19 +99,26 @@ func foldBlock(f *ir.Function, b *ir.Block) {
 			}
 			cnt := ir.Reg(f.NumRegs)
 			f.NumRegs++
-			// Insert the count before the (already appended) Mul.
-			mul := out[len(out)-1]
-			out[len(out)-1] = ir.Instr{Op: ir.OpConstI, Dst: cnt, A: ir.NoReg, B: ir.NoReg, Imm: k}
+			// The count takes the Mul's place; the Mul, now a shift,
+			// follows it.
+			mul := *in
+			*in = ir.Instr{Op: ir.OpConstI, Dst: cnt, A: ir.NoReg, B: ir.NoReg, Imm: k}
 			mul.Op = ir.OpShl
 			mul.B = cnt
+			if out == nil {
+				out = make([]ir.Instr, i+1, len(b.Instrs)+1)
+				copy(out, b.Instrs[:i+1])
+			}
 			out = append(out, mul)
-			konst[cnt] = k
-			delete(konst, mul.Dst)
+			konst.set(cnt, k)
+			konst.del(mul.Dst)
 			continue
 		}
 		invalidate()
 	}
-	b.Instrs = out
+	if out != nil {
+		b.Instrs = out
+	}
 }
 
 // foldOp evaluates op over constant operands when possible.
@@ -241,17 +252,19 @@ func (DCE) Name() string { return "dce" }
 
 // Run implements Pass.
 func (DCE) Run(m *ir.Module) {
+	var used []bool // reused by every function of the pass
 	for _, f := range m.Funcs {
-		for dceOnce(f) {
+		used = resize(used, f.NumRegs)
+		for dceOnce(f, used) {
 		}
 		compactBlocks(f)
 	}
 }
 
 // dceOnce deletes dead instructions (turning them into nops) and reports
-// whether anything changed.
-func dceOnce(f *ir.Function) bool {
-	used := make([]bool, f.NumRegs)
+// whether anything changed. used is scratch space, one entry per register.
+func dceOnce(f *ir.Function, used []bool) bool {
+	clear(used)
 	mark := func(r ir.Reg) {
 		if r != ir.NoReg {
 			used[r] = true
@@ -292,16 +305,21 @@ func dceOnce(f *ir.Function) bool {
 	return changed
 }
 
-// compactBlocks physically removes nops left by other passes.
+// compactBlocks physically removes nops left by other passes. Instructions
+// before a block's first nop stay where they are.
 func compactBlocks(f *ir.Function) {
 	for _, b := range f.Blocks {
-		out := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpNop {
-				out = append(out, in)
+		out := 0
+		for i := range b.Instrs {
+			if b.Instrs[i].Op == ir.OpNop {
+				continue
 			}
+			if out != i {
+				b.Instrs[out] = b.Instrs[i]
+			}
+			out++
 		}
-		b.Instrs = out
+		b.Instrs = b.Instrs[:out]
 	}
 }
 
@@ -314,70 +332,71 @@ func (LocalCSE) Name() string { return "cse" }
 
 // Run implements Pass.
 func (LocalCSE) Run(m *ir.Module) {
+	var c cse
+	regs, instrs := largest(m)
+	c.regVN.reset(regs)
+	c.exprs.reset(instrs)
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
-			cseBlock(f, b)
+			c.block(f, b)
 		}
 	}
 }
 
-type vnKey struct {
-	op   ir.Op
-	a, b int32 // value numbers of operands (-1 if none)
-	imm  int64
+// cse holds LocalCSE's tables, reused by every block of a pass.
+type cse struct {
+	regVN regTable[int32] // value number each register holds
+	exprs exprTable       // available expressions: x is the holding register, y its value number
 }
 
-type vnEntry struct {
-	reg ir.Reg
-	vn  int32 // value number the register held when recorded
-}
-
-// cseBlock numbers values within a block. An available-expression entry is
-// only reused if its holding register still carries the recorded value
-// (non-SSA registers can be overwritten).
-func cseBlock(f *ir.Function, b *ir.Block) {
-	regVN := make([]int32, f.NumRegs)
-	for i := range regVN {
-		regVN[i] = -int32(i) - 1 // unique "unknown" number per register
+// vnOf returns r's value number: -1 for no register, a unique negative
+// "unknown" number for a register not yet written in this block.
+func (c *cse) vnOf(r ir.Reg) int32 {
+	if r == ir.NoReg {
+		return -1
 	}
+	if v, ok := c.regVN.get(r); ok {
+		return v
+	}
+	return -int32(r) - 1
+}
+
+// block numbers values within b. An available-expression entry is only
+// reused if its holding register still carries the recorded value (non-SSA
+// registers can be overwritten).
+func (c *cse) block(f *ir.Function, b *ir.Block) {
+	c.regVN.reset(f.NumRegs)
+	c.exprs.reset(len(b.Instrs))
 	next := int32(1)
-	fresh := func() int32 { v := next; next++; return v }
-	exprs := map[vnKey]vnEntry{}
-	vnOf := func(r ir.Reg) int32 {
-		if r == ir.NoReg {
-			return -1
-		}
-		return regVN[r]
-	}
-
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		if in.Op == ir.OpNop {
 			continue
 		}
-		pure := isPure(in.Op)
 		if in.Op == ir.OpMov {
 			// Copies propagate value numbers.
-			regVN[in.Dst] = regVN[in.A]
+			c.regVN.set(in.Dst, c.vnOf(in.A))
 			continue
 		}
-		if !pure {
+		if !isPure(in.Op) {
 			// Side-effecting or memory instruction: its destination (if
 			// any) gets a fresh number.
 			if in.Dst != ir.NoReg && !in.Op.IsStore() {
-				regVN[in.Dst] = fresh()
+				c.regVN.set(in.Dst, next)
+				next++
 			}
 			continue
 		}
-		key := vnKey{op: in.Op, a: vnOf(in.A), b: vnOf(in.B), imm: in.Imm}
-		if e, ok := exprs[key]; ok && regVN[e.reg] == e.vn && e.reg != in.Dst {
-			in.Op, in.A, in.B, in.Imm = ir.OpMov, e.reg, ir.NoReg, 0
-			regVN[in.Dst] = e.vn
+		key := exprKey{op: in.Op, a: c.vnOf(in.A), b: c.vnOf(in.B), imm: in.Imm}
+		e := c.exprs.find(key)
+		if e.gen == c.exprs.gen && c.vnOf(ir.Reg(e.x)) == e.y && ir.Reg(e.x) != in.Dst {
+			in.Op, in.A, in.B, in.Imm = ir.OpMov, ir.Reg(e.x), ir.NoReg, 0
+			c.regVN.set(in.Dst, e.y)
 			continue
 		}
-		v := fresh()
-		regVN[in.Dst] = v
-		exprs[key] = vnEntry{reg: in.Dst, vn: v}
+		c.regVN.set(in.Dst, next)
+		*e = exprSlot{key: key, gen: c.exprs.gen, x: int32(in.Dst), y: next}
+		next++
 	}
 }
 

@@ -249,14 +249,20 @@ func (m *Module) Entry() int {
 // compiler pipeline) before execution.
 func (m *Module) Finalize() {
 	for _, f := range m.Funcs {
-		off := uint64(0)
-		for i := range f.Slots {
-			f.Slots[i].Off = off
-			off += (f.Slots[i].Size + 7) &^ 7
-		}
-		// Saved return address + frame pointer, as in Figure 4.
-		f.FrameSize = off + 16
+		f.Finalize()
 	}
+}
+
+// Finalize computes f's frame layout: the per-function form of the
+// module's Finalize, for a pass that changed only f's slots.
+func (f *Function) Finalize() {
+	off := uint64(0)
+	for i := range f.Slots {
+		f.Slots[i].Off = off
+		off += (f.Slots[i].Size + 7) &^ 7
+	}
+	// Saved return address + frame pointer, as in Figure 4.
+	f.FrameSize = off + 16
 }
 
 // opNames maps opcodes to mnemonics for String/debugging.

@@ -14,22 +14,29 @@ const funcHeaderSize = 8
 // these values, so every pipeline runs this after its last transformation.
 func ComputeSizes(m *Module) {
 	for _, f := range m.Funcs {
-		off := uint64(funcHeaderSize)
-		for _, b := range f.Blocks {
-			b.Off = off
-			sz, live := uint64(0), uint64(0)
-			for _, in := range b.Instrs {
-				sz += in.Op.EncodedSize()
-				if in.Op != OpNop {
-					live++
-				}
-			}
-			sz += b.Term.EncodedSize()
-			b.Size = sz
-			b.Live = live
-			off += sz
-		}
-		// Round the function footprint up to its alignment.
-		f.Size = (off + FuncAlign - 1) &^ (FuncAlign - 1)
+		f.ComputeSizes()
 	}
+}
+
+// ComputeSizes is the per-function form of the package's ComputeSizes, for
+// a pass that changed only f.
+func (f *Function) ComputeSizes() {
+	off := uint64(funcHeaderSize)
+	for _, b := range f.Blocks {
+		b.Off = off
+		sz, live := uint64(0), uint64(0)
+		for i := range b.Instrs {
+			op := b.Instrs[i].Op
+			sz += op.EncodedSize()
+			if op != OpNop {
+				live++
+			}
+		}
+		sz += b.Term.EncodedSize()
+		b.Size = sz
+		b.Live = live
+		off += sz
+	}
+	// Round the function footprint up to its alignment.
+	f.Size = (off + FuncAlign - 1) &^ (FuncAlign - 1)
 }

@@ -30,34 +30,33 @@ func (m *Module) validateFunc(fi int, f *Function) error {
 	if len(f.Blocks) == 0 {
 		return errf("no blocks")
 	}
-	checkReg := func(r Reg, what string, bi, ii int) error {
-		if r == NoReg {
-			return nil
-		}
-		if r < 0 || int(r) >= f.NumRegs {
-			return errf("block %d instr %d: %s register %d out of range", bi, ii, what, r)
-		}
-		return nil
+	// A register is valid if it is NoReg (-1) or in 0..NumRegs-1, that is
+	// if r+1, as an unsigned number, is at most NumRegs.
+	limit := uint64(max(f.NumRegs, 0))
+	badReg := func(r Reg) bool { return uint64(int64(r)+1) > limit }
+	regErr := func(r Reg, what string, bi, ii int) error {
+		return errf("block %d instr %d: %s register %d out of range", bi, ii, what, r)
 	}
 	for bi, b := range f.Blocks {
-		for ii, in := range b.Instrs {
+		for ii := range b.Instrs {
+			in := &b.Instrs[ii]
 			if in.Op == OpNop {
 				continue
 			}
 			if in.Op >= opCount {
 				return errf("block %d instr %d: bad opcode %d", bi, ii, in.Op)
 			}
-			for _, c := range []struct {
-				r    Reg
-				what string
-			}{{in.Dst, "dst"}, {in.A, "A"}, {in.B, "B"}} {
-				if err := checkReg(c.r, c.what, bi, ii); err != nil {
-					return err
-				}
+			switch {
+			case badReg(in.Dst):
+				return regErr(in.Dst, "dst", bi, ii)
+			case badReg(in.A):
+				return regErr(in.A, "A", bi, ii)
+			case badReg(in.B):
+				return regErr(in.B, "B", bi, ii)
 			}
 			for _, a := range in.Args {
-				if err := checkReg(a, "arg", bi, ii); err != nil {
-					return err
+				if badReg(a) {
+					return regErr(a, "arg", bi, ii)
 				}
 			}
 			switch in.Op {
@@ -91,8 +90,8 @@ func (m *Module) validateFunc(fi int, f *Function) error {
 				return errf("block %d: jump target %d out of range", bi, b.Term.Then)
 			}
 		case TermBr:
-			if err := checkReg(b.Term.Cond, "cond", bi, -1); err != nil {
-				return err
+			if badReg(b.Term.Cond) {
+				return regErr(b.Term.Cond, "cond", bi, -1)
 			}
 			if b.Term.Cond == NoReg {
 				return errf("block %d: conditional branch without condition", bi)
@@ -102,8 +101,8 @@ func (m *Module) validateFunc(fi int, f *Function) error {
 				return errf("block %d: branch targets (%d,%d) out of range", bi, b.Term.Then, b.Term.Else)
 			}
 		case TermRet:
-			if err := checkReg(b.Term.Val, "ret", bi, -1); err != nil {
-				return err
+			if badReg(b.Term.Val) {
+				return regErr(b.Term.Val, "ret", bi, -1)
 			}
 		default:
 			return errf("block %d: bad terminator kind %d", bi, b.Term.Kind)
