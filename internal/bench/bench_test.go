@@ -11,9 +11,11 @@ import (
 	"errors"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
 	"repro/internal/interp"
+	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/store"
 )
@@ -289,6 +291,47 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if seq.Meta.Level != "-O2" || seq.Meta.Stabilizer != "native" {
 		t.Errorf("meta = %+v", seq.Meta)
+	}
+}
+
+// TestReplayedCollectionByteIdenticalAcrossWidths collects 8 runs a cell at
+// -j 1, 2, 3 and 8. Each pool shard records its first run and replays it for
+// the rest, so the widths replay 7, 6, 5 and 0 runs a cell: at -j 8 every
+// shard holds one run and nothing records, which makes it the full-run
+// reference. The artifacts must be byte-identical, with the native and the
+// STABILIZER runtime; the non-golden experiment.runs.replayed counter
+// proves the replays.
+func TestReplayedCollectionByteIdenticalAcrossWidths(t *testing.T) {
+	suite := testSuite(t, "astar", "mcf", "cactusADM")
+	defer experiment.SetParallelism(0)
+	defer experiment.SetObs(nil)
+	for _, cfg := range []experiment.Config{
+		{Scale: testScale, Level: compiler.O2},
+		{Scale: testScale, Level: compiler.O2, Stabilizer: &core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 25_000}},
+	} {
+		var ref []byte
+		for _, j := range []int{8, 1, 2, 3} {
+			experiment.SetParallelism(j)
+			scope := obs.NewScope()
+			experiment.SetObs(scope)
+			art, err := Collect(context.Background(), CollectOptions{Suite: suite, Config: cfg, Runs: 8, Seed: 2013})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := art.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+			} else if !bytes.Equal(got, ref) {
+				t.Fatalf("%s: artifact at -j %d differs from -j 8:\n%s\nvs\n%s", art.Meta.Stabilizer, j, got, ref)
+			}
+			want := uint64(len(suite) * (8 - min(j, 8)))
+			if n := scope.Metrics.Counter("experiment.runs.replayed").Value(); n != want {
+				t.Errorf("%s: -j %d replayed %d runs, want %d", art.Meta.Stabilizer, j, n, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,14 +21,7 @@ import (
 //
 //	go test -run xx -bench BenchmarkEngine ./internal/experiment/ -cpuprofile cpu.prof
 func benchEngine(b *testing.B, eng interp.Engine, stab *core.Options) {
-	bm, ok := spec.ByName("cactusADM")
-	if !ok {
-		b.Fatal("cactusADM missing from suite")
-	}
-	cc, err := CompileBench(bm, Config{Scale: 0.2, Level: compiler.O2, Noise: -1, Engine: eng, Stabilizer: stab})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cc := headlineBench(b, eng, stab)
 	// One warm-up run pays the per-module lowering and compile caches.
 	if _, err := cc.Run(1); err != nil {
 		b.Fatal(err)
@@ -48,6 +42,45 @@ func benchEngine(b *testing.B, eng interp.Engine, stab *core.Options) {
 func BenchmarkEngineCompiled(b *testing.B) { benchEngine(b, interp.EngineCompiled, nil) }
 func BenchmarkEngineWalk(b *testing.B)     { benchEngine(b, interp.EngineWalk, nil) }
 
+// benchReplay measures replays (see interp.Trace): one compiled run of the
+// headline benchmark records a trace, outside the timer, and each iteration
+// replays it under a fresh seed's layout, as a pool shard's later runs do.
+func benchReplay(b *testing.B, stab *core.Options) {
+	cc := headlineBench(b, interp.EngineCompiled, stab)
+	tr := interp.NewTrace()
+	defer tr.Release()
+	if _, _, err := cc.runCtx(context.Background(), 1, false, traceUse{capture: tr}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var instr uint64
+	for i := 0; i < b.N; i++ {
+		r, _, err := cc.runCtx(context.Background(), uint64(i)+2, false, traceUse{replay: tr})
+		if err != nil {
+			b.Fatal(err)
+		}
+		instr += r.Instructions
+	}
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
+	b.ReportMetric(float64(tr.Bytes()), "trace-bytes")
+}
+
+func BenchmarkEngineReplay(b *testing.B) { benchReplay(b, nil) }
+
+// headlineBench compiles cactusADM at scale 0.2 for the engine benchmarks.
+func headlineBench(b *testing.B, eng interp.Engine, stab *core.Options) *Compiled {
+	bm, ok := spec.ByName("cactusADM")
+	if !ok {
+		b.Fatal("cactusADM missing from suite")
+	}
+	cc, err := CompileBench(bm, Config{Scale: 0.2, Level: compiler.O2, Noise: -1, Engine: eng, Stabilizer: stab})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cc
+}
+
 // stabilizedBench is full STABILIZER at the re-randomization interval
 // perfbench's stabilized-levels workload uses.
 var stabilizedBench = &core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 25_000}
@@ -59,6 +92,8 @@ func BenchmarkEngineStabilizedCompiled(b *testing.B) {
 func BenchmarkEngineStabilizedWalk(b *testing.B) {
 	benchEngine(b, interp.EngineWalk, stabilizedBench)
 }
+
+func BenchmarkEngineStabilizedReplay(b *testing.B) { benchReplay(b, stabilizedBench) }
 
 // BenchmarkCompileSuite measures compiling the 18 suite benchmarks at the
 // gate's scale (0.2), once per optimization level: the compile work a

@@ -92,6 +92,18 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
+// shards returns how many shards ForEach splits n items into: one per
+// worker, but no more than n.
+func (p *Pool) shards(n int) int {
+	return max(1, min(p.workers, n))
+}
+
+// shardRange returns the contiguous items [lo, hi) of shard w of k over n
+// items. A shard runs its items in order on one goroutine.
+func shardRange(n, k, w int) (lo, hi int) {
+	return n * w / k, n * (w + 1) / k
+}
+
 // PanicError is a panic recovered in a pool worker, converted to an error
 // so one bad cell fails the sweep instead of killing the process. It
 // carries the cell label and item index that panicked plus the stack
@@ -168,10 +180,7 @@ func (p *Pool) forEach(parent context.Context, label string, n int, fn func(ctx 
 		met.Counter("pool.cells.completed").Inc()
 	}()
 	runDone := met.Counter("pool.runs.completed")
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
+	workers := p.shards(n)
 	if workers <= 1 {
 		// Sequential path: same iteration order as the historical loops.
 		for i := 0; i < n; i++ {
@@ -200,7 +209,7 @@ func (p *Pool) forEach(parent context.Context, label string, n int, fn func(ctx 
 	)
 	queueWait := met.Histogram("pool.queue.wait_seconds").NonGolden()
 	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
+		lo, hi := shardRange(n, workers, w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

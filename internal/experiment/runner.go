@@ -149,7 +149,7 @@ func (c *Compiled) Run(seed uint64) (RunResult, error) {
 // result for a given seed is identical to Run's whenever the run is
 // allowed to complete.
 func (c *Compiled) RunCtx(ctx context.Context, seed uint64) (RunResult, error) {
-	res, _, err := c.runCtx(ctx, seed, false)
+	res, _, err := c.runCtx(ctx, seed, false, runFull)
 	return res, err
 }
 
@@ -160,15 +160,23 @@ func (c *Compiled) RunCtx(ctx context.Context, seed uint64) (RunResult, error) {
 // — it never touches the simulated machine — so the RunResult is identical
 // to RunCtx's for the same seed.
 func (c *Compiled) ProfileRun(ctx context.Context, seed uint64) (RunResult, *obs.Profile, error) {
-	return c.runCtx(ctx, seed, true)
+	return c.runCtx(ctx, seed, true, runFull)
 }
+
+// traceUse says what one run does with a trace: nothing, record into
+// capture, or replay replay (see interp.Trace).
+type traceUse struct {
+	capture, replay *interp.Trace
+}
+
+var runFull traceUse
 
 // machines recycles simulated machines across runs. A reset machine is
 // indistinguishable from a new one, and resetting costs far less than
 // allocating and zeroing fresh tables (the L3 tag array alone is 512 KiB).
 var machines = sync.Pool{New: func() any { return machine.New(machine.DefaultConfig()) }}
 
-func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool) (RunResult, *obs.Profile, error) {
+func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu traceUse) (RunResult, *obs.Profile, error) {
 	r := rng.NewMarsaglia(seed ^ 0x5ab1112e)
 	as := mem.NewAddressSpaceEnv(c.Cfg.EnvSize)
 	// mmap ASLR is on for every run, native or stabilized, as on a stock
@@ -229,6 +237,8 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool) (RunRe
 		Profile:   c.Cfg.Profile,
 		Interrupt: interrupt,
 		Engine:    c.Cfg.Engine,
+		Capture:   tu.capture,
+		Replay:    tu.replay,
 	}
 	if profile {
 		prof = obs.NewProfiler(c.Module, mcfg)
@@ -436,8 +446,26 @@ func (c *Compiled) collectOnce(ctx context.Context, pool *Pool, label string, at
 		label = fmt.Sprintf("%s (attempt %d)", label, attempt)
 	}
 	results := make([]RunResult, runs)
+	shards := make([]shardTrace, pool.shards(runs))
+	for w := range shards {
+		shards[w].lo, shards[w].hi = shardRange(runs, len(shards), w)
+	}
+	defer func() {
+		var replayed, dropped uint64
+		for w := range shards {
+			shards[w].release()
+			replayed += shards[w].replayed
+			dropped += shards[w].dropped
+		}
+		obsMetrics().Counter("experiment.runs.replayed").NonGolden().Add(replayed)
+		obsMetrics().Counter("experiment.traces.dropped").NonGolden().Add(dropped)
+	}()
 	err = pool.ForEachLabeled(ctx, label, runs, func(rctx context.Context, i int) error {
-		r, err := c.RunCtx(rctx, seedBase+uint64(i))
+		w := 0
+		for shards[w].hi <= i {
+			w++
+		}
+		r, err := c.runInShard(rctx, &shards[w], i, seedBase+uint64(i))
 		if err != nil {
 			return err
 		}
@@ -448,6 +476,56 @@ func (c *Compiled) collectOnce(ctx context.Context, pool *Pool, label string, at
 		return nil, err
 	}
 	return sampleSetFrom(results), nil
+}
+
+// shardTrace is one pool shard's recording. A shard runs its items
+// [lo, hi) in order on one goroutine, so its first run can record and its
+// later runs replay what it recorded. replayed and dropped count its
+// replays and dropped recordings.
+type shardTrace struct {
+	lo, hi            int
+	tr                *interp.Trace
+	replayed, dropped uint64
+}
+
+func (st *shardTrace) release() {
+	if st.tr != nil {
+		st.tr.Release()
+		st.tr = nil
+	}
+}
+
+// runInShard runs item i of a collection, the seed's run, in shard st. A
+// shard with more than one run records its first one and replays that
+// recording for the rest: layout changes where code and data live, never
+// what the program computes, so a replay under the later seed's layout
+// yields exactly the full run's result (see interp.Trace). Only the
+// compiled engine records, and never with per-function profiling; a
+// recording whose run fails, or that outgrows the trace cap, is dropped
+// and the shard's later runs run in full.
+func (c *Compiled) runInShard(ctx context.Context, st *shardTrace, i int, seed uint64) (RunResult, error) {
+	var tu traceUse
+	switch {
+	case st.tr != nil:
+		tu.replay = st.tr
+	case i == st.lo && st.hi-i > 1 && c.Cfg.Engine == interp.EngineCompiled && !c.Cfg.Profile:
+		tu.capture = interp.NewTrace()
+	}
+	r, _, err := c.runCtx(ctx, seed, false, tu)
+	switch {
+	case tu.replay != nil:
+		st.replayed++
+	case tu.capture == nil:
+	case tu.capture.Replayable():
+		st.tr = tu.capture
+	default:
+		st.dropped++
+		tu.capture.Release()
+	}
+	if i == st.hi-1 {
+		st.release()
+	}
+	return r, err
 }
 
 // Samples runs the benchmark `runs` times with seeds seedBase, seedBase+1, …

@@ -24,10 +24,16 @@
 //     arena released on return, whose blocks are reused across runs, and
 //     per-block runtime bookkeeping reuses pre-bound closures, so
 //     steady-state execution does not allocate.
+//
+// The same block loop records a run's branch directions and address
+// operands into a Trace, and replays them under another layout (see
+// trace.go).
 package interp
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/ir"
@@ -47,6 +53,7 @@ type cframe struct {
 	fl         *FuncLayout // the function's live layout entry
 	ep         *fnEpoch
 	blockStart uint64
+	rbs        []replayBlock // the function's replay lists, in a replay
 }
 
 // arena is a grow-only bump allocator for register files and frame slots.
@@ -160,6 +167,19 @@ type cvm struct {
 	epochHot  []epochHot
 	tickStack func() []mem.Addr
 
+	// A recording run (tw set) stages its trace in w; a replay (replaying
+	// set) reads one through rd, and rbs holds the module's replay lists.
+	// traced is either. A replay keeps no registers, globals or heap
+	// contents: excReplay stands in for an exception value, which only
+	// registers would read.
+	tw        *traceWriter
+	w         traceWriter
+	replaying bool
+	traced    bool
+	rd        traceReader
+	rbs       [][]replayBlock
+	excReplay uint64
+
 	// Open-coded Data8 probe state (machine.MRUView): the live TLB and L1D
 	// tag arrays plus lookup geometry, cached here so fastData8 inlines
 	// into the dispatch loop. Slice identities are stable for the machine's
@@ -187,7 +207,8 @@ type epochHot struct {
 }
 
 // runCompiled executes module m with the compiled engine. It mirrors
-// runWalk's setup, fault handling, and exit recording exactly.
+// runWalk's setup, fault handling, and exit recording exactly. With
+// opts.Capture it records into that trace, with opts.Replay it replays one.
 func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 	en := &cvm{
 		lm:        lowered(m),
@@ -203,6 +224,29 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 	// A trapped run unwinds without releasing its frames.
 	en.arena.release(arenaMark{})
 	defer arenas.Put(en.arena)
+	if tr := opts.Replay; tr != nil {
+		if err := en.rd.open(tr, en.lm, en.arena); err != nil {
+			return Result{}, err
+		}
+		en.replaying, en.traced = true, true
+		en.rbs = en.lm.replayForm()
+	}
+	if tr := opts.Capture; tr != nil {
+		if tr.sealed || tr.lm != nil {
+			return Result{}, errors.New("interp: capture into a trace that is not empty")
+		}
+		// A module with a block whose operands fit no chunk records nothing.
+		if en.lm.maxOperands <= traceChunkSize {
+			en.w.start(tr, en.lm, en.arena)
+			en.tw, en.traced = &en.w, true
+		}
+		// A recording whose run fails leaves nothing to replay.
+		defer func() {
+			if err != nil {
+				tr.Release()
+			}
+		}()
+	}
 	en.epochHot = make([]epochHot, len(m.Funcs))
 	en.rearmStop()
 	en.tlbTags, en.tlbShift, en.tlbMask, en.tlbWays = opts.Machine.TLB.MRUView()
@@ -215,15 +259,17 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 		en.obs = opts.Observer
 		en.obsLast = opts.Machine.Snapshot()
 	}
-	en.globals = make([][]uint64, len(m.Globals))
-	for i, g := range m.Globals {
-		words := make([]uint64, g.Size/8)
-		for j, v := range g.Init {
-			if j < len(words) {
-				words[j] = uint64(v)
+	if !en.replaying {
+		en.globals = make([][]uint64, len(m.Globals))
+		for i, g := range m.Globals {
+			words := make([]uint64, g.Size/8)
+			for j, v := range g.Init {
+				if j < len(words) {
+					words[j] = uint64(v)
+				}
 			}
+			en.globals[i] = words
 		}
-		en.globals[i] = words
 	}
 	en.sp = opts.Runtime.StackBase()
 	en.stackLow = en.sp - mem.Addr(opts.StackLimit)
@@ -249,12 +295,28 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 				}
 				return
 			}
+			if _, ok := r.(runtime.Error); ok && en.replaying {
+				// A replay that reads past the operands its trace holds.
+				err = errTraceOverrun
+				return
+			}
 			panic(r)
 		}
 	}()
 
 	entry := m.Entry()
 	ret, exc := en.call(entry, nil, nil, 0, 0)
+	if en.replaying {
+		// The recorded run returned normally, so a replay that fits its
+		// trace does too, having read all of it.
+		if exc != nil {
+			return Result{}, errTraceMismatch
+		}
+		if err := en.rd.finish(); err != nil {
+			return Result{}, err
+		}
+		en.output = en.rd.t.output
+	}
 	if exc != nil {
 		if en.rec != nil {
 			en.rec.observe(en.steps, EvExit, 1, *exc)
@@ -263,6 +325,9 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 	}
 	if en.rec != nil {
 		en.rec.observe(en.steps, EvExit, 0, ret)
+	}
+	if en.tw != nil {
+		en.tw.seal(en.output)
 	}
 
 	return Result{
@@ -427,14 +492,18 @@ func (en *cvm) call(fn int, caller *cframe, argRegs []int32, callerPC mem.Addr, 
 	mark := en.arena.mark()
 	fr.fn = fn
 	fr.lf = lf
-	fr.regs = en.arena.alloc(lf.numRegs)
-	if caller != nil {
-		cregs := caller.regs
-		for i, a := range argRegs {
-			fr.regs[i] = cregs[a]
+	if en.replaying {
+		fr.rbs = en.rbs[fn]
+	} else {
+		fr.regs = en.arena.alloc(lf.numRegs)
+		if caller != nil {
+			cregs := caller.regs
+			for i, a := range argRegs {
+				fr.regs[i] = cregs[a]
+			}
 		}
+		fr.stack = en.arena.alloc(lf.stackWords)
 	}
-	fr.stack = en.arena.alloc(lf.stackWords)
 	fr.frameBase = frameBase
 	fr.fl = fl
 	fr.ep = en.epochFor(lf, codeBase, fl.Blocks)
@@ -480,6 +549,24 @@ func (en *cvm) call(fn int, caller *cframe, argRegs []int32, callerPC mem.Addr, 
 	return ret, nil
 }
 
+// short reports whether a recording or a replay may lack room for k
+// operands and a branch direction: the block's, or its rest's after a
+// call. reserve makes the room.
+func (en *cvm) short(k int) bool {
+	if en.replaying {
+		return en.rd.short(k)
+	}
+	return en.w.short(k)
+}
+
+func (en *cvm) reserve(k int) {
+	if en.replaying {
+		en.need(k)
+	} else {
+		en.w.reserve(k)
+	}
+}
+
 // stopCheck is the slow path behind exec's single per-block stop
 // comparison. stopAt is the earliest step at which either the budget check
 // or the interrupt poll could fire, so folding both into one compare
@@ -515,10 +602,13 @@ func (en *cvm) rearmStop() {
 // exec drives one activation through its lowered blocks. Each iteration
 // mirrors one of walk exec()'s block rounds: fetch, tick, budget, poll,
 // retire, straight-line ops, control segments, attribution flushes,
-// terminator.
+// terminator. A replay runs the same rounds, with each segment's memory
+// events in place of its ops and the trace's branch directions; it keeps no
+// registers.
 func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 	lf := fr.lf
 	mach := en.mach
+	replay := en.replaying
 	bi := 0
 	for {
 		if en.profile != nil {
@@ -549,19 +639,33 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 			en.stopCheck()
 		}
 		mach.Retire(b.live)
+		if en.traced && en.short(b.operands) {
+			en.reserve(b.operands)
+		}
 
 		jumped := false
 		if b.plain != nil {
 			// Single straight-line segment (the common block shape): run the
 			// ops without the segment scaffolding or the control switch.
-			en.runOps(fr, b.plain)
+			if replay {
+				en.replayOps(fr, fr.rbs[bi].segs[0])
+			} else {
+				en.runOps(fr, b.plain)
+			}
 		} else {
 			for si := range b.segs {
 				sg := &b.segs[si]
-				en.runOps(fr, sg.ops)
+				if replay {
+					en.replayOps(fr, fr.rbs[bi].segs[si])
+				} else {
+					en.runOps(fr, sg.ops)
+				}
 				switch sg.kind {
 				case segPlain:
 				case segThrow:
+					if replay {
+						return 0, &en.excReplay
+					}
 					v := fr.regs[sg.throw]
 					if en.rec != nil {
 						en.rec.record(en.steps, EvThrow, 0, 0, v)
@@ -584,9 +688,13 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 					if en.profile != nil {
 						fr.blockStart = mach.Cycles
 					}
+					if en.traced && en.short(b.operands) {
+						// The callee's blocks used the staging room.
+						en.reserve(b.operands)
+					}
 					if exc != nil {
 						if lc.handler >= 0 {
-							if lc.dst >= 0 {
+							if lc.dst >= 0 && !replay {
 								fr.regs[lc.dst] = *exc
 							}
 							bi = int(lc.handler)
@@ -594,7 +702,7 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 						} else {
 							return 0, exc
 						}
-					} else if lc.dst >= 0 {
+					} else if lc.dst >= 0 && !replay {
 						fr.regs[lc.dst] = v
 					}
 				}
@@ -619,7 +727,9 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 			bi = int(t.then)
 		case ir.TermBr:
 			var taken bool
-			if t.fused != ir.OpNop {
+			if replay {
+				taken = en.branchTaken()
+			} else if t.fused != ir.OpNop {
 				// Compare+branch superinstruction: evaluate the folded
 				// comparison here. Register writes are invisible to the
 				// machine and the recorder, and the compares charge no
@@ -643,6 +753,9 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 			} else {
 				taken = fr.regs[t.cond] != 0
 			}
+			if en.tw != nil {
+				en.tw.branch(taken)
+			}
 			// CondBranch, open-coded so the predictor update inlines into
 			// the dispatch loop (the wrapper is over the inline budget).
 			if mach.BP.Conditional(eb.termPC, taken) {
@@ -656,7 +769,7 @@ func (en *cvm) exec(fr *cframe, depth int) (uint64, *uint64) {
 			}
 		case ir.TermRet:
 			mach.Retire(1)
-			if t.val < 0 {
+			if t.val < 0 || replay {
 				return 0, nil
 			}
 			return fr.regs[t.val], nil
@@ -677,14 +790,18 @@ func (en *cvm) alloc(size uint64) uint64 {
 	if err != nil {
 		en.runtimeErr(err)
 	}
+	obj := heapObject{addr: addr, size: size, live: true}
+	if !en.replaying {
+		obj.data = make([]uint64, size/8)
+	}
 	var handle int
 	if n := len(en.freeObj); n > 0 {
 		handle = en.freeObj[n-1]
 		en.freeObj = en.freeObj[:n-1]
-		en.objects[handle] = heapObject{addr: addr, data: make([]uint64, size/8), size: size, live: true}
+		en.objects[handle] = obj
 	} else {
 		handle = len(en.objects)
-		en.objects = append(en.objects, heapObject{addr: addr, data: make([]uint64, size/8), size: size, live: true})
+		en.objects = append(en.objects, obj)
 	}
 	if handle >= 1<<30 {
 		en.trap(trap.OutOfMemory, "too many heap objects")
@@ -710,6 +827,14 @@ func (en *cvm) free(ptr uint64) {
 	if !en.objects[handle].live {
 		en.trap(trap.DoubleFree, "double free (handle %d)", handle)
 	}
+	if en.tw != nil {
+		en.tw.put(opFreeHandle, int64(handle))
+	}
+	en.release(handle)
+}
+
+// release returns a checked, live heap object to the runtime.
+func (en *cvm) release(handle int) {
 	obj := &en.objects[handle]
 	if err := en.rt.Free(obj.addr); err != nil {
 		en.runtimeErr(err)
@@ -840,6 +965,9 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 				en.trap(trap.OutOfBounds, "global %s access at byte %d outside %d bytes",
 					en.m.Globals[g].Name, byteOff, int64(in.x)*8)
 			}
+			if en.tw != nil {
+				en.tw.put(opGlobalOff, byteOff)
+			}
 			w := ubo >> 3
 			addr := en.globalAddr(fr, g) + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
@@ -897,6 +1025,9 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 				en.trap(trap.OutOfBounds, "%s: stack slot %s access at byte %d outside %d bytes",
 					lfp.f.Name, slot.Name, byteOff, slotSize)
 			}
+			if en.tw != nil {
+				en.tw.put(opStackOff, byteOff)
+			}
 			addr := fr.frameBase + mem.Addr(slotOff) + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
 				mach.Data8Miss(addr)
@@ -940,6 +1071,11 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			if ubo >= obj.size || ubo&7 != 0 {
 				en.trap(trap.OutOfBounds, "heap access at byte %d outside object of %d bytes", byteOff, obj.size)
 			}
+			if tw := en.tw; tw != nil {
+				tw.put(opHeapHandle, int64(handle))
+				tw.putDelta(byteOff - obj.traceOff)
+				obj.traceOff = byteOff
+			}
 			w := ubo >> 3
 			addr := obj.addr + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
@@ -972,6 +1108,11 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			ubo := uint64(byteOff)
 			if ubo >= obj.size || ubo&7 != 0 {
 				en.trap(trap.OutOfBounds, "heap access at byte %d outside object of %d bytes", byteOff, obj.size)
+			}
+			if tw := en.tw; tw != nil {
+				tw.put(opHeapHandle, int64(handle))
+				tw.putDelta(byteOff - obj.traceOff)
+				obj.traceOff = byteOff
 			}
 			w := ubo >> 3
 			addr := obj.addr + mem.Addr(byteOff)
@@ -1112,6 +1253,11 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			if ubo >= obj.size || ubo&7 != 0 {
 				en.trap(trap.OutOfBounds, "heap access at byte %d outside object of %d bytes", byteOff, obj.size)
 			}
+			if tw := en.tw; tw != nil {
+				tw.put(opHeapHandle, int64(handle))
+				tw.putDelta(byteOff - obj.traceOff)
+				obj.traceOff = byteOff
+			}
 			addr := obj.addr + mem.Addr(byteOff)
 			if !en.fastData8(addr) {
 				mach.Data8Miss(addr)
@@ -1189,6 +1335,11 @@ func (en *cvm) runOps(fr *cframe, code []cinstr) {
 			ubo := uint64(byteOff)
 			if ubo >= obj.size || ubo&7 != 0 {
 				en.trap(trap.OutOfBounds, "heap access at byte %d outside object of %d bytes", byteOff, obj.size)
+			}
+			if tw := en.tw; tw != nil {
+				tw.put(opHeapHandle, int64(handle))
+				tw.putDelta(byteOff - obj.traceOff)
+				obj.traceOff = byteOff
 			}
 			w := ubo >> 3
 			addr := obj.addr + mem.Addr(byteOff)

@@ -146,7 +146,10 @@ func runEngine(t *testing.T, m *ir.Module, eng interp.Engine, rc rtConfig, seed 
 		tune(&o)
 	}
 	res, err := interp.Run(m, o)
-	got := engineObservation{res: res, err: err, digest: o.Record.Digest(), counters: mach.Snapshot(), obs: obs, st: st}
+	got := engineObservation{res: res, err: err, counters: mach.Snapshot(), obs: obs, st: st}
+	if o.Record != nil {
+		got.digest = o.Record.Digest()
+	}
 	if st != nil && !rc.stab.Code {
 		for fn, fl := range st.Layout().Funcs {
 			if fl.Reloc != 0 {
@@ -203,7 +206,74 @@ func diffEngines(t *testing.T, name string, m *ir.Module, rc rtConfig, seed uint
 	if !reflect.DeepEqual(walk.windows, comp.windows) {
 		t.Fatalf("%s: sampler windows divergence: walk %d windows, compiled %d", name, len(walk.windows), len(comp.windows))
 	}
+	replayLeg(t, name, m, rc, seed, tune)
 	return walk
+}
+
+// plainRun is a compiled run with no Recorder, Observer or Profile: the
+// only kind that records or replays a trace.
+func plainRun(t *testing.T, m *ir.Module, rc rtConfig, seed uint64, tune func(*interp.Options), trace func(*interp.Options)) engineObservation {
+	t.Helper()
+	return runEngine(t, m, interp.EngineCompiled, rc, seed, func(o *interp.Options) {
+		if tune != nil {
+			tune(o)
+		}
+		o.Profile, o.Record, o.Observer = false, nil, nil
+		trace(o)
+	})
+}
+
+// replayLeg holds replays to full compiled runs: it records m at seed and
+// replays the recording at two other seeds, each of which must match a
+// full compiled run of its own seed in error, Result, machine counters, the
+// STABILIZER runtime's Stats and the sampler's windows. A recording whose
+// run failed must leave nothing to replay.
+func replayLeg(t *testing.T, name string, m *ir.Module, rc rtConfig, seed uint64, tune func(*interp.Options)) {
+	t.Helper()
+	tr := interp.NewTrace()
+	defer tr.Release()
+	rec := plainRun(t, m, rc, seed, tune, func(o *interp.Options) { o.Capture = tr })
+	if rec.err != nil {
+		if tr.Replayable() {
+			t.Fatalf("%s: a recording that failed (%v) is replayable", name, rec.err)
+		}
+		got := plainRun(t, m, rc, seed+1, tune, func(o *interp.Options) { o.Replay = tr })
+		if got.err == nil {
+			t.Fatalf("%s: replay of a failed recording returned %+v", name, got.res)
+		}
+		return
+	}
+	if !tr.Replayable() {
+		t.Fatalf("%s: a completed recording of %d bytes is not replayable", name, tr.Bytes())
+	}
+	for _, s := range []uint64{seed + 1, seed + 2} {
+		full := plainRun(t, m, rc, s, tune, func(*interp.Options) {})
+		rep := plainRun(t, m, rc, s, tune, func(o *interp.Options) { o.Replay = tr })
+		sameRun(t, fmt.Sprintf("%s: replay at seed %d", name, s), full, rep)
+	}
+}
+
+// sameRun fails on any difference between a full run and a replay.
+func sameRun(t *testing.T, name string, full, rep engineObservation) {
+	t.Helper()
+	switch {
+	case (full.err == nil) != (rep.err == nil):
+		t.Fatalf("%s: error divergence: full=%v replay=%v", name, full.err, rep.err)
+	case full.err != nil && full.err.Error() != rep.err.Error():
+		t.Fatalf("%s: error text divergence:\n  full:   %v\n  replay: %v", name, full.err, rep.err)
+	}
+	if !reflect.DeepEqual(full.res, rep.res) {
+		t.Fatalf("%s: result divergence:\n  full:   %+v\n  replay: %+v", name, full.res, rep.res)
+	}
+	if full.counters != rep.counters {
+		t.Fatalf("%s: machine counter divergence:\n  full:\n%v\n  replay:\n%v", name, full.counters, rep.counters)
+	}
+	if full.st != nil && full.st.Stats != rep.st.Stats {
+		t.Fatalf("%s: runtime stats divergence:\n  full:   %+v\n  replay: %+v", name, full.st.Stats, rep.st.Stats)
+	}
+	if !reflect.DeepEqual(full.windows, rep.windows) {
+		t.Fatalf("%s: sampler windows divergence: full %d windows, replay %d", name, len(full.windows), len(rep.windows))
+	}
 }
 
 // prepared compiles a fixture at the given level (stabilized so the core

@@ -114,6 +114,9 @@ type heapObject struct {
 	data []uint64
 	size uint64
 	live bool
+	// traceOff is the byte offset of the last access a compiled run's
+	// trace recorded or replayed on the object (see trace.go).
+	traceOff int64
 }
 
 // Options configures one execution.
@@ -146,6 +149,14 @@ type Options struct {
 	// engines produce identical results; EngineWalk is the differential
 	// reference.
 	Engine Engine
+	// Capture, if non-nil, is an empty trace the run records its branch
+	// directions and address operands into; Replay, if non-nil, is a trace
+	// a run of the same module recorded, which the run replays under its
+	// own layout instead of computing values (see trace.go). A replay's
+	// Result, machine counters and runtime calls equal a full run's. Only
+	// the compiled engine records and replays, and only on runs without a
+	// Recorder, Observer or Profile.
+	Capture, Replay *Trace
 }
 
 // Observer receives per-window machine counter deltas during execution.
@@ -263,6 +274,16 @@ func Run(m *ir.Module, opts Options) (Result, error) {
 	for fi, f := range m.Funcs {
 		if f.Size == 0 {
 			return Result{}, fmt.Errorf("interp: function %d (%s) has no size; run ir.ComputeSizes", fi, f.Name)
+		}
+	}
+	if opts.Capture != nil || opts.Replay != nil {
+		switch {
+		case opts.Capture != nil && opts.Replay != nil:
+			return Result{}, errors.New("interp: a run cannot both record and replay a trace")
+		case opts.Engine != EngineCompiled:
+			return Result{}, fmt.Errorf("interp: the %s engine neither records nor replays traces", opts.Engine)
+		case opts.Record != nil || opts.Observer != nil || opts.Profile:
+			return Result{}, errors.New("interp: a run with a Recorder, Observer or Profile cannot record or replay a trace")
 		}
 	}
 	if opts.Engine == EngineCompiled {

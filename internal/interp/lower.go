@@ -38,6 +38,7 @@ package interp
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -135,6 +136,12 @@ type slowOp func(en *cvm, fr *cframe)
 type lowModule struct {
 	m     *ir.Module
 	funcs []*lowFunc
+
+	// maxOperands is the most operands one block records in a trace.
+	maxOperands int
+	// replay holds the replay lists (see replay.go), built on first use.
+	replayOnce sync.Once
+	replay     [][]replayBlock
 }
 
 // lowFunc is one function's flat form.
@@ -154,7 +161,10 @@ type lowBlock struct {
 	off  uint64 // static byte offset (overridden by the layout's FuncLayout.Blocks)
 	size uint64
 	live uint64
-	segs []lowSeg
+	// operands is how many operands its ops record in a trace, at most
+	// (see trace.go).
+	operands int
+	segs     []lowSeg
 	// plain holds the ops of a block whose only segment is straight-line —
 	// the common shape — letting exec skip the segment scaffolding.
 	plain []cinstr
@@ -222,6 +232,9 @@ func lowerModule(m *ir.Module) *lowModule {
 	lm := &lowModule{m: m, funcs: make([]*lowFunc, len(m.Funcs))}
 	for fi, f := range m.Funcs {
 		lm.funcs[fi] = lowerFunc(m, f, fi)
+		for bi := range lm.funcs[fi].blocks {
+			lm.maxOperands = max(lm.maxOperands, lm.funcs[fi].blocks[bi].operands)
+		}
 	}
 	return lm
 }
@@ -812,8 +825,25 @@ func (lf *lowFunc) lowerBlock(m *ir.Module, f *ir.Function, fnIdx int, b *ir.Blo
 	if len(lb.segs) == 1 && lb.segs[0].kind == segPlain {
 		lb.plain = lb.segs[0].ops
 	}
+	for _, sg := range lb.segs {
+		for i := range sg.ops {
+			lb.operands += tracedOperands(sg.ops[i].op) + tracedOperands(sg.ops[i].op2)
+		}
+	}
 	lb.term = lt
 	return lb
+}
+
+// tracedOperands is how many operands an op records in a trace.
+func tracedOperands(op copcode) int {
+	switch op {
+	case copLoadGD, copLoadGFD, copStoreGD, copStoreGFD,
+		copLoadSD, copLoadSFD, copStoreSD, copStoreSFD, copFree:
+		return 1
+	case copLoadH, copLoadHF, copStoreH, copStoreHF:
+		return 2
+	}
+	return 0
 }
 
 // emit pre-decodes one straight-line instruction. The runOps bodies these

@@ -3,9 +3,14 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/compiler"
+	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/machine"
 )
 
 // fuzzVerify pumps one generated program through compile → link →
@@ -59,7 +64,67 @@ func FuzzEngineDifferential(f *testing.F) {
 			}
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		replayLeg(t, seed, m, opts)
 	})
+}
+
+// replayLegSteps is the replay leg's step budget. Almost every generated
+// program retires far fewer steps; on the rare long-running one the
+// recording stops at the budget and leaves nothing to replay, which keeps a
+// fuzz iteration inside the fuzzer's 10 s deadline.
+const replayLegSteps = 2_000_000
+
+// replayLeg holds the compiled engine's replays to its full runs: at every
+// level, the program is recorded in one layout cell and replayed in two
+// others, and each replay must match a full compiled run of its cell in
+// error, Result, machine counters and STABILIZER Stats. A recording whose
+// run failed must leave nothing to replay.
+func replayLeg(t *testing.T, seed uint64, src *ir.Module, opts Options) {
+	opts.MaxSteps = replayLegSteps
+	opts.defaults()
+	v := &verifier{name: "replay", mods: map[compiler.OptLevel]*ir.Module{}, opts: opts}
+	type outcome struct {
+		res      interp.Result
+		err      error
+		counters machine.Counters
+		st       *core.Stabilizer
+	}
+	run := func(cell Cell, capture, replay *interp.Trace) outcome {
+		mach, st, err := v.cellRuntime(cell)
+		if err != nil {
+			t.Fatalf("seed %d: %v: %v", seed, cell, err)
+		}
+		res, err := interp.Run(v.mods[cell.Level], interp.Options{
+			Machine: mach, Runtime: st, MaxSteps: opts.MaxSteps, Capture: capture, Replay: replay,
+		})
+		return outcome{res, err, mach.Snapshot(), st}
+	}
+	for _, lv := range opts.Levels {
+		m, err := compiler.Compile(src, compiler.Options{Level: lv, Stabilize: true})
+		if err != nil {
+			t.Fatalf("seed %d: compiling at %s: %v", seed, lv, err)
+		}
+		v.mods[lv] = m
+		cell := Cell{Program: "replay", Seed: 1, Level: lv, Allocator: opts.Allocators[0]}
+		tr := interp.NewTrace()
+		rec := run(cell, tr, nil)
+		if rec.err != nil {
+			if tr.Replayable() {
+				t.Fatalf("seed %d: %v: a recording that failed (%v) is replayable", seed, cell, rec.err)
+			}
+			continue
+		}
+		for _, s := range []uint64{2, 3} {
+			cell.Seed = s
+			full, rep := run(cell, nil, nil), run(cell, nil, tr)
+			if fmt.Sprint(full.err) != fmt.Sprint(rep.err) || !reflect.DeepEqual(full.res, rep.res) ||
+				full.counters != rep.counters || full.st.Stats != rep.st.Stats {
+				t.Fatalf("seed %d: %v: replay diverges from the full run:\n  full:   %v %+v %+v\n  replay: %v %+v %+v",
+					seed, cell, full.err, full.res, full.st.Stats, rep.err, rep.res, rep.st.Stats)
+			}
+		}
+		tr.Release()
+	}
 }
 
 // FuzzTrapEquivalence plants a deterministic heap-misuse fault in every

@@ -245,13 +245,29 @@ func buildAllocator(name string, as *mem.AddressSpace, r *rng.Marsaglia) (heap.A
 // a program trap, and an uncaught exception are all valid outcomes (each is
 // folded into the digest); any other failure is an infrastructure error.
 func (v *verifier) runCell(cell Cell, rec *interp.Recorder) error {
+	mach, st, err := v.cellRuntime(cell)
+	if err != nil {
+		return err
+	}
+	_, err = interp.Run(v.mods[cell.Level], interp.Options{
+		Machine:  mach,
+		Runtime:  st,
+		MaxSteps: v.opts.MaxSteps,
+		Record:   rec,
+		Engine:   cell.Engine,
+	})
+	return classify(err)
+}
+
+// cellRuntime builds one cell's machine and STABILIZER runtime.
+func (v *verifier) cellRuntime(cell Cell) (*machine.Machine, *core.Stabilizer, error) {
 	mod := v.mods[cell.Level]
 	r := rng.NewMarsaglia(cell.Seed ^ seedSalt)
 	as := mem.NewAddressSpace()
 	as.SetASLR(r.Split().Intn)
 	img, err := compiler.Link(mod, compiler.RandomOrder(len(mod.Funcs), r.Split()), as)
 	if err != nil {
-		return fmt.Errorf("link: %w", err)
+		return nil, nil, fmt.Errorf("link: %w", err)
 	}
 	mach := machine.New(machine.DefaultConfig())
 	mach.SetPhysicalSeed(r.Next64())
@@ -262,25 +278,17 @@ func (v *verifier) runCell(cell Cell, rec *interp.Recorder) error {
 		Seed:        r.Next64(),
 	})
 	if err != nil {
-		return fmt.Errorf("runtime: %w", err)
+		return nil, nil, fmt.Errorf("runtime: %w", err)
 	}
 	alloc, err := buildAllocator(cell.Allocator, as, r.Split())
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if v.opts.wrapAlloc != nil {
 		alloc = v.opts.wrapAlloc(alloc)
 	}
 	st.SetHeapAllocator(alloc)
-
-	_, err = interp.Run(mod, interp.Options{
-		Machine:  mach,
-		Runtime:  st,
-		MaxSteps: v.opts.MaxSteps,
-		Record:   rec,
-		Engine:   cell.Engine,
-	})
-	return classify(err)
+	return mach, st, nil
 }
 
 // classify separates program outcomes (fine: they are in the digest) from
