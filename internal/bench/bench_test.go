@@ -294,23 +294,29 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestReplayedCollectionByteIdenticalAcrossWidths collects 8 runs a cell at
-// -j 1, 2, 3 and 8. Each pool shard records its first run and replays it for
-// the rest, so the widths replay 7, 6, 5 and 0 runs a cell: at -j 8 every
-// shard holds one run and nothing records, which makes it the full-run
-// reference. The artifacts must be byte-identical, with the native and the
-// STABILIZER runtime; the non-golden experiment.runs.replayed counter
-// proves the replays.
+// TestReplayedCollectionByteIdenticalAcrossWidths collects 8 runs a cell
+// at -j 1, 2, 3 and 8 and then at -j 1 again, from freshly compiled
+// modules. The reference is a walk-engine collection, which never records
+// or replays. Each multi-run pool shard records its first run raw and
+// replays it for the rest, so -j 1, 2 and 3 replay 7, 6 and 5 runs a cell.
+// At -j 8 every shard holds one run, and one of them records for the
+// module: how many of the others start late enough to replay that trace
+// depends on timing, but the module keeps exactly one trace. The last
+// -j 1 collection replays the kept trace in all 8 runs. Every artifact
+// must be byte-identical to the reference, with the native and the
+// STABILIZER runtime; the non-golden experiment.runs.replayed and
+// experiment.traces.kept counters prove the replays and the recordings.
 func TestReplayedCollectionByteIdenticalAcrossWidths(t *testing.T) {
 	suite := testSuite(t, "astar", "mcf", "cactusADM")
 	defer experiment.SetParallelism(0)
 	defer experiment.SetObs(nil)
+	cells := uint64(len(suite))
 	for _, cfg := range []experiment.Config{
 		{Scale: testScale, Level: compiler.O2},
 		{Scale: testScale, Level: compiler.O2, Stabilizer: &core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 25_000}},
 	} {
-		var ref []byte
-		for _, j := range []int{8, 1, 2, 3} {
+		experiment.ResetCompileCache()
+		collect := func(cfg experiment.Config, j int) ([]byte, *obs.Scope) {
 			experiment.SetParallelism(j)
 			scope := obs.NewScope()
 			experiment.SetObs(scope)
@@ -322,17 +328,44 @@ func TestReplayedCollectionByteIdenticalAcrossWidths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref == nil {
-				ref = got
-			} else if !bytes.Equal(got, ref) {
-				t.Fatalf("%s: artifact at -j %d differs from -j 8:\n%s\nvs\n%s", art.Meta.Stabilizer, j, got, ref)
+			return got, scope
+		}
+		walk := cfg
+		walk.Engine = interp.EngineWalk
+		ref, _ := collect(walk, 8)
+		for _, step := range []struct {
+			j        int
+			replayed uint64 // a cell's replays; ^0 where timing decides
+			kept     uint64
+			name     string
+		}{
+			{1, 7, 0, "-j 1"}, {2, 6, 0, "-j 2"}, {3, 5, 0, "-j 3"},
+			{8, ^uint64(0), 1, "-j 8"}, {1, 8, 0, "-j 1 after -j 8"},
+		} {
+			got, scope := collect(cfg, step.j)
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("%s: artifact at %s differs from the walk engine's:\n%s\nvs\n%s", stabName(cfg), step.name, got, ref)
 			}
-			want := uint64(len(suite) * (8 - min(j, 8)))
-			if n := scope.Metrics.Counter("experiment.runs.replayed").Value(); n != want {
-				t.Errorf("%s: -j %d replayed %d runs, want %d", art.Meta.Stabilizer, j, n, want)
+			replayed := scope.Metrics.Counter("experiment.runs.replayed").Value()
+			kept := scope.Metrics.Counter("experiment.traces.kept").Value()
+			switch {
+			case step.replayed == ^uint64(0) && replayed > cells*7:
+				t.Errorf("%s: %s replayed %d runs, want at most %d", stabName(cfg), step.name, replayed, cells*7)
+			case step.replayed != ^uint64(0) && replayed != cells*step.replayed:
+				t.Errorf("%s: %s replayed %d runs, want %d", stabName(cfg), step.name, replayed, cells*step.replayed)
+			}
+			if kept != cells*step.kept {
+				t.Errorf("%s: %s kept %d traces, want %d", stabName(cfg), step.name, kept, cells*step.kept)
 			}
 		}
 	}
+}
+
+func stabName(cfg experiment.Config) string {
+	if cfg.Stabilizer == nil {
+		return "native"
+	}
+	return "stab:" + cfg.Stabilizer.EnabledString()
 }
 
 func TestCollectSeedBaseStableAcrossSubsets(t *testing.T) {

@@ -417,3 +417,54 @@ func TestCellsMatchLocalDerivation(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerReplaysAcrossCampaigns runs one worker over two campaigns that
+// share a benchmark, each a one-run cell at its own seed. The first cell
+// records the trace its module keeps; the second campaign's cell, at
+// another seed, replays it instead of interpreting the program again. Both
+// merged artifacts must be byte-identical to walk-engine collections,
+// which never record or replay.
+func TestWorkerReplaysAcrossCampaigns(t *testing.T) {
+	experiment.ResetCompileCache()
+	scope := obs.NewScope()
+	experiment.SetObs(scope)
+	defer experiment.SetObs(nil)
+	_, _, client := newFarm(t, CoordinatorOptions{Obs: obs.NewScope()})
+	for i, want := range []struct{ replayed, kept uint64 }{{0, 1}, {1, 1}} {
+		spec := Spec{Benchmarks: []string{"astar"}, Config: experiment.Config{Scale: 0.05}, Runs: 1, Seed: 2013 + uint64(i)}
+		opts, err := spec.CollectOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Config.Engine = interp.EngineWalk
+		art, err := bench.Collect(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := art.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWorkers(t, client, 1)
+		if _, err := client.WaitDone(context.Background(), resp.ID, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		merged, err := client.Artifact(context.Background(), resp.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(merged, ref) {
+			t.Fatalf("campaign %d: merged artifact differs from the walk engine's\nfarm:\n%s\nlocal:\n%s", i+1, merged, ref)
+		}
+		replayed := scope.Metrics.Counter("experiment.runs.replayed").Value()
+		kept := scope.Metrics.Counter("experiment.traces.kept").Value()
+		if replayed != want.replayed || kept != want.kept {
+			t.Fatalf("after campaign %d: %d runs replayed and %d traces kept, want %d and %d",
+				i+1, replayed, kept, want.replayed, want.kept)
+		}
+	}
+}

@@ -117,13 +117,16 @@ func CompileCacheEvictions() (evictions, poisoned uint64) {
 }
 
 // ResetCompileCache drops every cached module and zeroes the stats. The
-// compiled engine memoizes its lowered code on the module it ran, so once
-// no run still holds a dropped module, the garbage collector frees its
-// compiled and its lowered code together.
+// compiled engine memoizes its lowered code, and the trace a module keeps
+// for replays, on the module it ran, so once no run still holds a dropped
+// module, the garbage collector frees its compiled and lowered code and its
+// trace together.
 func ResetCompileCache() {
 	compileCache.mu.Lock()
 	defer compileCache.mu.Unlock()
 	compileCache.entries = map[compileKey]*cacheEntry{}
 	compileCache.hits, compileCache.misses = 0, 0
 	compileCache.evictions, compileCache.poisoned = 0, 0
+	keptBytes.Store(0)
+	obsMetrics().Gauge("experiment.traces.kept_bytes").Set(0)
 }

@@ -3,14 +3,17 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -40,6 +43,9 @@ func deepRecursion(float64) *ir.Module {
 // pads while the later seeds fit), nothing is kept and the later runs run
 // in full. Either way each later run must equal a plain run of its seed.
 func TestShardReplaysOnlyCompletedRecordings(t *testing.T) {
+	// Freshly compiled modules keep no trace that a shard would replay in
+	// place of recording.
+	ResetCompileCache()
 	ctx := context.Background()
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
@@ -138,5 +144,234 @@ func TestReplayAllocatesLittle(t *testing.T) {
 	t.Logf("bytes per run: full %d, replay %d", full, replay)
 	if replay*10 >= full {
 		t.Fatalf("a replay allocates %d bytes, a full run %d: want under a tenth", replay, full)
+	}
+}
+
+// oneRunCell runs seed as a cell's only run, in a one-run shard.
+func oneRunCell(ctx context.Context, c *Compiled, seed uint64) (RunResult, *shardTrace, error) {
+	st := &shardTrace{lo: 0, hi: 1}
+	r, err := c.runInShard(ctx, st, 0, seed)
+	return r, st, err
+}
+
+// TestKeptTraceServesEveryCellOfItsModule records a one-run cell for its
+// module and replays that trace in cells that differ from it in every
+// Config field the compile key leaves out: the seed, EnvSize,
+// RandomLinkOrder, MaxSteps, Noise and, under STABILIZER, the runtime's
+// options, DieHard and adaptive re-randomization included. Each replay
+// must equal the full run of its cell; a MaxSteps below the run's length
+// must stop the replay with the full run's error. Profiled and walk-engine
+// cells never replay.
+func TestKeptTraceServesEveryCellOfItsModule(t *testing.T) {
+	ResetCompileCache()
+	ctx := context.Background()
+	b := subset(t, "astar")[0]
+	full := core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 25_000}
+	for _, tc := range []struct {
+		name     string
+		base     Config
+		variants []func(*Config)
+	}{
+		{"native", Config{Scale: testScale, Level: compiler.O2}, []func(*Config){
+			func(c *Config) { c.EnvSize = 12_345 },
+			func(c *Config) { c.RandomLinkOrder = true },
+			func(c *Config) { c.Noise = -1 },
+			func(c *Config) { c.Noise = 0.05 },
+			func(c *Config) { c.MaxSteps = 20_000 },
+		}},
+		{"stabilized", Config{Scale: testScale, Level: compiler.O2, Stabilizer: &full}, []func(*Config){
+			func(c *Config) { c.Stabilizer = &core.Options{Stack: true} },
+			func(c *Config) { c.Stabilizer = &core.Options{Code: true, Heap: true, UseDieHard: true} },
+			func(c *Config) {
+				c.Stabilizer = &core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true,
+					Interval: 40_000, Adaptive: true, AdaptiveFactor: 1.05}
+			},
+			func(c *Config) {
+				c.Stabilizer = &core.Options{Code: true, FineGrainCode: true, UseTLSF: true, Heap: true}
+			},
+			func(c *Config) { c.EnvSize, c.RandomLinkOrder = 4096, true },
+			func(c *Config) { c.MaxSteps = 20_000 },
+		}},
+	} {
+		rec, err := CompileBench(b, tc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, st, err := oneRunCell(ctx, rec, 1); err != nil || st.kept != 1 || interp.KeptTrace(rec.Module) == nil {
+			t.Fatalf("%s: the one-run cell kept %d traces: %v", tc.name, st.kept, err)
+		}
+		kept := interp.KeptTrace(rec.Module)
+		variants := append([]func(*Config){func(*Config) {}}, tc.variants...)
+		for vi, vary := range variants {
+			cfg := tc.base
+			vary(&cfg)
+			c, err := CompileBench(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Module != rec.Module {
+				t.Fatalf("%s: variant %d compiled a module of its own", tc.name, vi)
+			}
+			for _, seed := range []uint64{2, 1000 + uint64(vi)} {
+				got, st, err := oneRunCell(ctx, c, seed)
+				want, werr := c.Run(seed)
+				name := fmt.Sprintf("%s: variant %d, seed %d", tc.name, vi, seed)
+				if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: replay %+v, %v; full run %+v, %v", name, got, err, want, werr)
+				}
+				if st.replayed != 1 || st.kept != 0 || st.dropped != 0 {
+					t.Fatalf("%s: %d replays, %d kept, %d dropped; want a replay", name, st.replayed, st.kept, st.dropped)
+				}
+				if cfg.MaxSteps != 0 && !errors.Is(err, interp.ErrMaxSteps) {
+					t.Fatalf("%s: a replay past MaxSteps returned %v", name, err)
+				}
+			}
+		}
+		if interp.KeptTrace(rec.Module) != kept {
+			t.Fatalf("%s: the module's kept trace changed", tc.name)
+		}
+		for _, vary := range []func(*Config){
+			func(c *Config) { c.Profile = true },
+			func(c *Config) { c.Engine = interp.EngineWalk },
+		} {
+			cfg := tc.base
+			vary(&cfg)
+			c, err := CompileBench(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, st, err := oneRunCell(ctx, c, 3); err != nil || st.replayed != 0 || st.kept != 0 {
+				t.Fatalf("%s: a profiled or walk cell replayed %d runs, kept %d: %v", tc.name, st.replayed, st.kept, err)
+			}
+		}
+	}
+}
+
+// TestConcurrentOneRunCellsRecordOnce collects one-run cells of one module
+// from two goroutines. Only one recording for a module may be in flight,
+// and once it is kept no other starts, so the module records exactly once;
+// the cells that start meanwhile run in full and the later ones replay.
+// Every cell must equal its full run. Run it under -race as well.
+func TestConcurrentOneRunCellsRecordOnce(t *testing.T) {
+	ResetCompileCache()
+	scope := obs.NewScope()
+	SetObs(scope)
+	defer SetObs(nil)
+	c, err := CompileBench(subset(t, "mcf")[0], Config{Scale: testScale, Level: compiler.O2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cells = 6
+	got := make([][]RunResult, 2)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cells; i++ {
+				ss, err := c.Collect(context.Background(), 1, uint64(100*g+i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], ss.Results[0])
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, r := range got[g] {
+			if want, err := c.Run(uint64(100*g + i)); err != nil || !reflect.DeepEqual(r, want) {
+				t.Fatalf("goroutine %d, cell %d: %+v; full run %+v, %v", g, i, r, want, err)
+			}
+		}
+	}
+	kept := scope.Metrics.Counter("experiment.traces.kept").Value()
+	replayed := scope.Metrics.Counter("experiment.runs.replayed").Value()
+	if kept != 1 || replayed == 0 || replayed > 2*cells-1 {
+		t.Fatalf("%d module recordings and %d replays over %d one-run cells; want 1 and 1..%d",
+			kept, replayed, 2*cells, 2*cells-1)
+	}
+	if g := scope.Metrics.Gauge("experiment.traces.kept_bytes").Value(); g < float64(interp.KeptTrace(c.Module).Bytes()) {
+		t.Fatalf("kept-bytes gauge reads %v, below the kept trace's %d bytes", g, interp.KeptTrace(c.Module).Bytes())
+	}
+}
+
+// spreadStores stores to a 1 MiB heap object at scattered offsets, eight
+// stores an iteration, so each store records a multi-byte operand.
+func spreadStores(iters int64) func(float64) *ir.Module {
+	return func(float64) *ir.Module {
+		mb := ir.NewModuleBuilder("spread")
+		f := mb.Func("main", 0)
+		p := f.Alloc(1 << 20)
+		f.LoopN(iters, func(i ir.Reg) {
+			for k := int64(1); k <= 8; k++ {
+				idx := f.And(f.Mul(f.Add(i, f.ConstI(k)), f.ConstI(40503)), f.ConstI(1<<17-1))
+				f.StoreH(p, 0, idx, i)
+			}
+		})
+		f.Sink(f.LoadH(p, 0, ir.NoReg))
+		f.Ret(ir.NoReg)
+		return mb.Module()
+	}
+}
+
+// TestModuleRecordingPastCapMarksModule runs one-run cells of a program
+// whose trace outgrows interp.TraceCap by half. An interrupted recording
+// leaves no mark, so the next cell records again; that recording outgrows
+// the cap and marks the module, so the cells after it run in full without
+// recording.
+func TestModuleRecordingPastCapMarksModule(t *testing.T) {
+	ResetCompileCache()
+	ctx := context.Background()
+	// The trace grows linearly with the iteration count: extrapolate from
+	// two small runs.
+	var size [2]float64
+	iters := [2]int64{1000, 2000}
+	for i, n := range iters {
+		c, err := CompileBench(spec.Benchmark{Name: fmt.Sprintf("spread-%d", n), Build: spreadStores(n)}, Config{Level: compiler.O2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := interp.NewTrace()
+		if _, _, err := c.runCtx(ctx, 1, false, traceUse{capture: tr}); err != nil || !tr.Replayable() {
+			t.Fatalf("recording %d iterations: %v", n, err)
+		}
+		size[i] = float64(tr.Bytes())
+		tr.Release()
+	}
+	n := int64(1.5 * float64(interp.TraceCap) / ((size[1] - size[0]) / float64(iters[1]-iters[0])))
+	c, err := CompileBench(spec.Benchmark{Name: "spread-past-cap", Build: spreadStores(n)}, Config{Level: compiler.O2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for i, tc := range []struct {
+		name    string
+		ctx     context.Context
+		dropped uint64
+	}{
+		{"interrupted", cancelled, 1},
+		{"past the cap", ctx, 1},
+		{"marked", ctx, 0},
+		{"still marked", ctx, 0},
+	} {
+		got, st, err := oneRunCell(tc.ctx, c, uint64(i))
+		if st.dropped != tc.dropped || st.kept != 0 || st.replayed != 0 {
+			t.Fatalf("%s: %d dropped, %d kept, %d replayed; want %d dropped", tc.name, st.dropped, st.kept, st.replayed, tc.dropped)
+		}
+		if tc.ctx == cancelled {
+			if err == nil {
+				t.Fatalf("%s: the cell completed", tc.name)
+			}
+			continue
+		}
+		if want, werr := c.Run(uint64(i)); err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %+v, %v; full run %+v, %v", tc.name, got, err, want, werr)
+		}
+	}
+	if interp.KeptTrace(c.Module) != nil {
+		t.Fatal("a module whose recording outgrew the cap keeps a trace")
 	}
 }

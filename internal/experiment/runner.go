@@ -11,6 +11,7 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compiler"
@@ -451,14 +452,20 @@ func (c *Compiled) collectOnce(ctx context.Context, pool *Pool, label string, at
 		shards[w].lo, shards[w].hi = shardRange(runs, len(shards), w)
 	}
 	defer func() {
-		var replayed, dropped uint64
+		var replayed, dropped, kept uint64
 		for w := range shards {
 			shards[w].release()
 			replayed += shards[w].replayed
 			dropped += shards[w].dropped
+			kept += shards[w].kept
 		}
-		obsMetrics().Counter("experiment.runs.replayed").NonGolden().Add(replayed)
-		obsMetrics().Counter("experiment.traces.dropped").NonGolden().Add(dropped)
+		met := obsMetrics()
+		met.Counter("experiment.runs.replayed").NonGolden().Add(replayed)
+		met.Counter("experiment.traces.dropped").NonGolden().Add(dropped)
+		met.Counter("experiment.traces.kept").NonGolden().Add(kept)
+		if kept > 0 {
+			met.Gauge("experiment.traces.kept_bytes").Set(float64(keptBytes.Load()))
+		}
 	}()
 	err = pool.ForEachLabeled(ctx, label, runs, func(rctx context.Context, i int) error {
 		w := 0
@@ -480,13 +487,17 @@ func (c *Compiled) collectOnce(ctx context.Context, pool *Pool, label string, at
 
 // shardTrace is one pool shard's recording. A shard runs its items
 // [lo, hi) in order on one goroutine, so its first run can record and its
-// later runs replay what it recorded. replayed and dropped count its
-// replays and dropped recordings.
+// later runs replay what it recorded. replayed, dropped and kept count its
+// replays, its dropped recordings and the recordings its module kept.
 type shardTrace struct {
-	lo, hi            int
-	tr                *interp.Trace
-	replayed, dropped uint64
+	lo, hi                  int
+	tr                      *interp.Trace
+	replayed, dropped, kept uint64
 }
+
+// keptBytes is the size of the traces that modules compiled since the last
+// ResetCompileCache keep: the experiment.traces.kept_bytes gauge.
+var keptBytes atomic.Int64
 
 func (st *shardTrace) release() {
 	if st.tr != nil {
@@ -495,32 +506,56 @@ func (st *shardTrace) release() {
 	}
 }
 
-// runInShard runs item i of a collection, the seed's run, in shard st. A
-// shard with more than one run records its first one and replays that
-// recording for the rest: layout changes where code and data live, never
-// what the program computes, so a replay under the later seed's layout
-// yields exactly the full run's result (see interp.Trace). Only the
-// compiled engine records, and never with per-function profiling; a
-// recording whose run fails, or that outgrows the trace cap, is dropped
-// and the shard's later runs run in full.
+// runInShard runs item i of a collection, the seed's run, in shard st.
+// Layout changes where code and data live, never what the program
+// computes, so a replay under a later seed's layout yields exactly the
+// full run's result (see interp.Trace). Only the compiled engine records
+// and replays, and never with per-function profiling. A run takes the
+// first of these that applies:
+//
+//  1. replay its shard's own recording;
+//  2. replay the trace its module keeps, which any cell of the module may
+//     have recorded;
+//  3. as the first run of a shard with later runs, record raw for the
+//     shard;
+//  4. as its shard's only run, record compressed for the module, unless
+//     another recording for it is in flight or one outgrew the trace cap
+//     (interp.ClaimTrace);
+//  5. run in full.
+//
+// A recording whose run fails, or that outgrows the trace cap, is dropped
+// and the runs that would have replayed it run in full.
 func (c *Compiled) runInShard(ctx context.Context, st *shardTrace, i int, seed uint64) (RunResult, error) {
 	var tu traceUse
+	forModule := false
 	switch {
+	case c.Cfg.Engine != interp.EngineCompiled || c.Cfg.Profile:
 	case st.tr != nil:
 		tu.replay = st.tr
-	case i == st.lo && st.hi-i > 1 && c.Cfg.Engine == interp.EngineCompiled && !c.Cfg.Profile:
-		tu.capture = interp.NewTrace()
+	default:
+		tu.replay = interp.KeptTrace(c.Module)
+		switch {
+		case tu.replay != nil:
+		case i == st.lo && st.hi-i > 1:
+			tu.capture = interp.NewTrace()
+		case st.hi-st.lo == 1:
+			tu.capture = interp.ClaimTrace(c.Module)
+			forModule = tu.capture != nil
+		}
 	}
 	r, _, err := c.runCtx(ctx, seed, false, tu)
 	switch {
 	case tu.replay != nil:
 		st.replayed++
 	case tu.capture == nil:
-	case tu.capture.Replayable():
-		st.tr = tu.capture
-	default:
+	case !tu.capture.Replayable():
 		st.dropped++
 		tu.capture.Release()
+	case forModule:
+		st.kept++
+		keptBytes.Add(int64(tu.capture.Bytes()))
+	default:
+		st.tr = tu.capture
 	}
 	if i == st.hi-1 {
 		st.release()

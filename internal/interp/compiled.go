@@ -189,6 +189,9 @@ type cvm struct {
 	tlbMask, l1dMask   uint64
 	tlbWays, l1dWays   uint64
 	lineMask           uint64
+
+	// z inflates a compressed trace's chunks for a replay (see trace.go).
+	z *inflater
 }
 
 // epochHot is a function's current layout epoch. Between
@@ -228,12 +231,19 @@ func runCompiled(m *ir.Module, opts Options) (res Result, err error) {
 		if err := en.rd.open(tr, en.lm, en.arena); err != nil {
 			return Result{}, err
 		}
+		if tr.compress {
+			en.z = inflaters.Get().(*inflater)
+			defer en.closeReplay()
+		}
 		en.replaying, en.traced = true, true
 		en.rbs = en.lm.replayForm()
 	}
 	if tr := opts.Capture; tr != nil {
-		if tr.sealed || tr.lm != nil {
+		switch {
+		case tr.sealed || tr.lm != nil:
 			return Result{}, errors.New("interp: capture into a trace that is not empty")
+		case tr.claim != nil && tr.claim != en.lm:
+			return Result{}, errors.New("interp: capture into a trace claimed for another module")
 		}
 		// A module with a block whose operands fit no chunk records nothing.
 		if en.lm.maxOperands <= traceChunkSize {

@@ -227,29 +227,53 @@ func plainRun(t *testing.T, m *ir.Module, rc rtConfig, seed uint64, tune func(*i
 // replays the recording at two other seeds, each of which must match a
 // full compiled run of its own seed in error, Result, machine counters, the
 // STABILIZER runtime's Stats and the sampler's windows. A recording whose
-// run failed must leave nothing to replay.
+// run failed must leave nothing to replay. It records twice: into a raw
+// trace, as a pool shard does, and into the compressed trace a one-run
+// cell records for its module (interp.ClaimTrace).
 func replayLeg(t *testing.T, name string, m *ir.Module, rc rtConfig, seed uint64, tune func(*interp.Options)) {
 	t.Helper()
-	tr := interp.NewTrace()
-	defer tr.Release()
-	rec := plainRun(t, m, rc, seed, tune, func(o *interp.Options) { o.Capture = tr })
+	raw := interp.NewTrace()
+	defer raw.Release()
+	interp.ForgetTrace(m)
+	defer interp.ForgetTrace(m)
+	kept := interp.ClaimTrace(m)
+	if kept == nil {
+		t.Fatalf("%s: a module that keeps no trace refused a recording", name)
+	}
+	rec := plainRun(t, m, rc, seed, tune, func(o *interp.Options) { o.Capture = raw })
+	krec := plainRun(t, m, rc, seed, tune, func(o *interp.Options) { o.Capture = kept })
+	sameRun(t, name+": recording for the module", rec, krec)
+	if got := interp.KeptTrace(m); (got != nil) != (krec.err == nil) || (got != nil && got != kept) {
+		t.Fatalf("%s: recording for the module (err %v) left kept trace %p, recorded %p", name, krec.err, got, kept)
+	}
+	traces := map[string]*interp.Trace{"raw": raw, "compressed": kept}
 	if rec.err != nil {
-		if tr.Replayable() {
-			t.Fatalf("%s: a recording that failed (%v) is replayable", name, rec.err)
+		for label, tr := range traces {
+			if tr.Replayable() {
+				t.Fatalf("%s: a %s recording that failed (%v) is replayable", name, label, rec.err)
+			}
+			if got := plainRun(t, m, rc, seed+1, tune, func(o *interp.Options) { o.Replay = tr }); got.err == nil {
+				t.Fatalf("%s: replay of a failed %s recording returned %+v", name, label, got.res)
+			}
 		}
-		got := plainRun(t, m, rc, seed+1, tune, func(o *interp.Options) { o.Replay = tr })
-		if got.err == nil {
-			t.Fatalf("%s: replay of a failed recording returned %+v", name, got.res)
+		again := interp.ClaimTrace(m)
+		if again == nil {
+			t.Fatalf("%s: a failed recording (%v) left its module claimed or marked", name, rec.err)
 		}
+		again.Release()
 		return
 	}
-	if !tr.Replayable() {
-		t.Fatalf("%s: a completed recording of %d bytes is not replayable", name, tr.Bytes())
+	for label, tr := range traces {
+		if !tr.Replayable() {
+			t.Fatalf("%s: a completed %s recording of %d bytes is not replayable", name, label, tr.Bytes())
+		}
 	}
 	for _, s := range []uint64{seed + 1, seed + 2} {
 		full := plainRun(t, m, rc, s, tune, func(*interp.Options) {})
-		rep := plainRun(t, m, rc, s, tune, func(o *interp.Options) { o.Replay = tr })
-		sameRun(t, fmt.Sprintf("%s: replay at seed %d", name, s), full, rep)
+		for label, tr := range traces {
+			rep := plainRun(t, m, rc, s, tune, func(o *interp.Options) { o.Replay = tr })
+			sameRun(t, fmt.Sprintf("%s: %s replay at seed %d", name, label, s), full, rep)
+		}
 	}
 }
 

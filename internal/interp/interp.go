@@ -150,9 +150,10 @@ type Options struct {
 	// reference.
 	Engine Engine
 	// Capture, if non-nil, is an empty trace the run records its branch
-	// directions and address operands into; Replay, if non-nil, is a trace
-	// a run of the same module recorded, which the run replays under its
-	// own layout instead of computing values (see trace.go). A replay's
+	// directions and address operands into (NewTrace, or ClaimTrace for the
+	// trace its module keeps); Replay, if non-nil, is a trace a run of the
+	// same module recorded, which the run replays under its own layout
+	// instead of computing values (see trace.go). A replay's
 	// Result, machine counters and runtime calls equal a full run's. Only
 	// the compiled engine records and replays, and only on runs without a
 	// Recorder, Observer or Profile.

@@ -142,6 +142,13 @@ type lowModule struct {
 	// replay holds the replay lists (see replay.go), built on first use.
 	replayOnce sync.Once
 	replay     [][]replayBlock
+	// kept is the compressed trace the module keeps for its runs to
+	// replay, claimed says a recording for it is in flight, and overCap
+	// that one outgrew TraceCap, after which the module records no more
+	// (see ClaimTrace). They are freed with the module.
+	kept    atomic.Pointer[Trace]
+	claimed atomic.Bool
+	overCap atomic.Bool
 }
 
 // lowFunc is one function's flat form.

@@ -32,21 +32,43 @@ func capture(t *testing.T, m *ir.Module, rc rtConfig, seed uint64, tune func(*in
 	return tr
 }
 
+// captureForModule records m at seed into the compressed trace the module
+// then keeps, and fails the test if it keeps none.
+func captureForModule(t *testing.T, m *ir.Module, rc rtConfig, seed uint64, tune func(*interp.Options)) *interp.Trace {
+	t.Helper()
+	interp.ForgetTrace(m)
+	tr := interp.ClaimTrace(m)
+	if tr == nil {
+		t.Fatal("a module that keeps no trace refused a recording")
+	}
+	if got := plainRun(t, m, rc, seed, tune, func(o *interp.Options) { o.Capture = tr }); got.err != nil {
+		t.Fatalf("recording for the module at seed %d: %v", seed, got.err)
+	}
+	if interp.KeptTrace(m) != tr || !tr.Replayable() {
+		t.Fatalf("the module does not keep its completed recording")
+	}
+	return tr
+}
+
 // TestReplayMatchesFullRunsOnEverySuiteBenchmark records each of the 23
 // benchmarks of spec.FullSuite, the five C++ ones that throw included, at
 // every optimization level, natively and under full STABILIZER, and
-// replays it at another seed.
+// replays it at another seed, from a raw trace and from the compressed
+// trace its module keeps.
 func TestReplayMatchesFullRunsOnEverySuiteBenchmark(t *testing.T) {
 	for _, b := range spec.FullSuite() {
 		src := b.Build(0.02)
 		for _, lv := range compiler.Levels() {
 			m := prepared(t, src, lv)
 			for _, rc := range []rtConfig{nativeRT, stabRT} {
-				tr := capture(t, m, rc, 41, nil)
 				full := plainRun(t, m, rc, 42, nil, func(*interp.Options) {})
+				tr := capture(t, m, rc, 41, nil)
 				rep := plainRun(t, m, rc, 42, nil, func(o *interp.Options) { o.Replay = tr })
 				sameRun(t, fmt.Sprintf("%s/%s/%s: replay at seed 42", b.Name, lv, rc.name), full, rep)
 				tr.Release()
+				kept := captureForModule(t, m, rc, 41, nil)
+				rep = plainRun(t, m, rc, 42, nil, func(o *interp.Options) { o.Replay = kept })
+				sameRun(t, fmt.Sprintf("%s/%s/%s: compressed replay at seed 42", b.Name, lv, rc.name), full, rep)
 			}
 		}
 	}
@@ -210,6 +232,32 @@ func TestRecordingPastCapIsDropped(t *testing.T) {
 	sameRun(t, "capped recording", full, rec)
 	if tr.Replayable() || tr.Bytes() != 0 {
 		t.Fatalf("a recording past the cap left %d bytes, replayable=%v", tr.Bytes(), tr.Replayable())
+	}
+
+	// Recording for the module: an interrupted recording leaves no mark,
+	// and one past the cap marks the module for good; a raw one marks
+	// nothing.
+	ktr := interp.ClaimTrace(m)
+	if ktr == nil {
+		t.Fatal("a raw recording past the cap marked its module")
+	}
+	stop := func(o *interp.Options) { o.Interrupt = func() error { return context.Canceled } }
+	if got := plainRun(t, m, nativeRT, 5, stop, func(o *interp.Options) { o.Capture = ktr }); got.err == nil {
+		t.Fatal("the interrupted recording completed")
+	}
+	ktr = interp.ClaimTrace(m)
+	if ktr == nil {
+		t.Fatal("an interrupted recording left its module claimed or marked")
+	}
+	rec = plainRun(t, m, nativeRT, 5, nil, func(o *interp.Options) { o.Capture = ktr })
+	sameRun(t, "capped recording for the module", full, rec)
+	if ktr.Replayable() || interp.KeptTrace(m) != nil {
+		t.Fatal("a recording for the module past the cap was kept")
+	}
+	for i := 0; i < 2; i++ {
+		if again := interp.ClaimTrace(m); again != nil {
+			t.Fatal("a module whose recording outgrew the cap records again")
+		}
 	}
 }
 

@@ -20,9 +20,15 @@
 package interp
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"sync"
+
+	"repro/internal/ir"
 )
 
 // operandKind classes the recorded operands. Each is stored as its
@@ -73,12 +79,18 @@ type traceChunk [traceChunkSize]byte
 var traceChunks = sync.Pool{New: func() any { return new(traceChunk) }}
 
 // tstream is one chunked byte stream of a trace; n is the write position
-// in cur, the last chunk.
+// in cur, the last chunk. A compressed stream keeps each chunk in z, as a
+// flate stream of the bytes written to it (see deflate), and cur is its
+// one raw chunk while it records; chunks stays empty.
 type tstream struct {
 	chunks []*traceChunk
 	cur    *traceChunk
 	n      int
+	z      [][]byte
 }
+
+// count returns how many chunks the stream holds.
+func (s *tstream) count() int { return len(s.chunks) + len(s.z) }
 
 // escStart bounds where a writer starts an escape's encoding in a chunk;
 // a reader takes the next chunk at exactly the same points.
@@ -91,59 +103,196 @@ const escStart = traceChunkSize - binary.MaxVarintLen64
 // recording is kept only if its run finishes without an error and its
 // trace stays within TraceCap. Replays only read a trace, so any number may
 // share one.
+//
+// A trace from NewTrace holds its chunks raw. A trace from ClaimTrace
+// records for its module and is compressed: each stream compresses a chunk
+// when the writer moves past it and seal compresses the last one, so the
+// recording holds one raw chunk a stream, and a replay inflates one chunk a
+// stream at a time. Once sealed the module keeps it for as long as the
+// module lives.
 type Trace struct {
-	lm     *lowModule
-	output uint64
-	ops    tstream
-	esc    tstream
-	bits   tstream
-	nEsc   int // escapes
-	nBits  int // branch directions
-	done   int // bytes in chunks before each stream's current one
-	chunks int
-	over   bool // outgrew TraceCap: the recording is lost
-	sealed bool
+	lm       *lowModule
+	output   uint64
+	ops      tstream
+	esc      tstream
+	bits     tstream
+	nEsc     int // escapes
+	nBits    int // branch directions
+	done     int // bytes in raw chunks before each stream's current one
+	zBytes   int // bytes in compressed chunks
+	chunks   int
+	over     bool // outgrew TraceCap: the recording is lost
+	sealed   bool
+	compress bool
+	// claim is the module a compressed trace records for, until the
+	// recording is sealed or released; kept marks the module's trace.
+	claim *lowModule
+	kept  bool
 }
 
 // NewTrace returns an empty trace for a compiled run to record into.
 func NewTrace() *Trace { return &Trace{} }
 
+// KeptTrace returns the trace m keeps for its compiled runs to replay (see
+// ClaimTrace), or nil if it keeps none.
+func KeptTrace(m *ir.Module) *Trace { return lowered(m).kept.Load() }
+
+// ClaimTrace returns an empty compressed trace for one compiled run of m to
+// record for the module, or nil if m keeps a trace already, a recording for
+// it is in flight, or one outgrew TraceCap, which marks m for good. The
+// recording becomes m's kept trace (KeptTrace) when its run completes; a
+// run that fails or never starts leaves no mark, and releasing its trace
+// frees the claim. A kept trace lives as long as its module.
+func ClaimTrace(m *ir.Module) *Trace {
+	lm := lowered(m)
+	if lm.kept.Load() != nil || lm.overCap.Load() || lm.maxOperands > traceChunkSize ||
+		!lm.claimed.CompareAndSwap(false, true) {
+		return nil
+	}
+	// A recording may have been kept, or marked, between the loads and
+	// the claim.
+	if lm.kept.Load() != nil || lm.overCap.Load() {
+		lm.claimed.Store(false)
+		return nil
+	}
+	return &Trace{compress: true, claim: lm}
+}
+
 // Replayable reports whether the trace holds a complete recording.
 func (t *Trace) Replayable() bool { return t.sealed }
 
-// Bytes returns the size of the recording's encoding.
+// Bytes returns the size of the recording's encoding: compressed, for a
+// compressed trace.
 func (t *Trace) Bytes() int {
-	if !t.sealed {
+	switch {
+	case !t.sealed:
 		return 0
+	case t.compress:
+		return t.zBytes
 	}
 	return t.done + t.ops.n + t.esc.n + t.bits.n
 }
 
-// Release returns the trace's chunks for reuse and empties it.
+// Release returns the trace's chunks for reuse and empties it, and frees
+// its claim on its module if it holds one. A module's kept trace lives as
+// long as the module: releasing it does nothing.
 func (t *Trace) Release() {
+	if t.kept {
+		return
+	}
 	for _, s := range []*tstream{&t.ops, &t.esc, &t.bits} {
 		for _, c := range s.chunks {
 			traceChunks.Put(c)
 		}
+		if t.compress && s.cur != nil {
+			traceChunks.Put(s.cur)
+		}
+	}
+	if t.claim != nil {
+		t.claim.claimed.Store(false)
 	}
 	*t = Trace{}
 }
 
 // grow gives s a fresh chunk, or, once the trace is at its cap, marks the
-// recording lost and keeps the writer on the chunk it has.
+// recording lost and keeps the writer on the chunk it has. A compressed
+// stream compresses the chunk it leaves and reuses it.
 func (t *Trace) grow(s *tstream) {
 	if t.chunks*traceChunkSize >= TraceCap && s.cur != nil {
 		t.over = true
 		s.n = 0
 		return
 	}
-	if s.cur != nil {
-		t.done += s.n
+	switch {
+	case t.compress && s.cur != nil:
+		t.deflate(s)
+	default:
+		if s.cur != nil {
+			t.done += s.n
+		}
+		c := traceChunks.Get().(*traceChunk)
+		if !t.compress {
+			s.chunks = append(s.chunks, c)
+		}
+		s.cur = c
 	}
-	c := traceChunks.Get().(*traceChunk)
-	s.chunks = append(s.chunks, c)
-	s.cur, s.n = c, 0
+	s.n = 0
 	t.chunks++
+}
+
+// deflater is a pooled compressor and its output buffer: a flate writer
+// holds about 1.2 MB of tables.
+type deflater struct {
+	zw  *flate.Writer
+	buf bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	zw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return &deflater{zw: zw}
+}}
+
+// deflate appends the s.n bytes written to s's current chunk to s.z:
+// compressed, then their CRC-32 seeded with the chunk's index, so that a
+// replay that inflates other bytes, or a chunk in another place, fails,
+// and then their count. A reader takes the next chunk where the writer
+// did, so it never reads past the bytes written to a chunk.
+func (t *Trace) deflate(s *tstream) {
+	raw := s.cur[:s.n]
+	d := deflaters.Get().(*deflater)
+	d.buf.Reset()
+	d.zw.Reset(&d.buf)
+	d.zw.Write(raw)
+	d.zw.Close()
+	z := make([]byte, d.buf.Len()+8)
+	n := copy(z, d.buf.Bytes())
+	deflaters.Put(d)
+	binary.LittleEndian.PutUint32(z[n:], crc32.Update(uint32(len(s.z)), crc32.IEEETable, raw))
+	binary.LittleEndian.PutUint32(z[n+4:], uint32(len(raw)))
+	s.z = append(s.z, z)
+	t.zBytes += len(z)
+}
+
+// inflater is a replay's decompressor for a compressed trace. It lives
+// apart from the cursors that the per-operand and per-branch reads use.
+type inflater struct {
+	br  bytes.Reader
+	fr  io.ReadCloser
+	one [1]byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	z := &inflater{}
+	z.fr = flate.NewReader(&z.br)
+	return z
+}}
+
+var errTraceInflate = errors.New("interp: a compressed trace chunk does not inflate to the chunk it was recorded as")
+
+// inflate fills dst with chunk ci of a compressed stream, src. A chunk that
+// does not inflate to exactly the bytes written to it, whose checksum
+// matches its place, fails the replay.
+func (z *inflater) inflate(src []byte, ci int, dst *traceChunk) {
+	if len(src) < 8 {
+		panic(runError{errTraceInflate})
+	}
+	body, tail := src[:len(src)-8], src[len(src)-8:]
+	sum, n := binary.LittleEndian.Uint32(tail), binary.LittleEndian.Uint32(tail[4:])
+	if n > traceChunkSize {
+		panic(runError{errTraceInflate})
+	}
+	z.br.Reset(body)
+	if err := z.fr.(flate.Resetter).Reset(&z.br, nil); err != nil {
+		panic(runError{errTraceInflate})
+	}
+	raw := dst[:n]
+	if _, err := io.ReadFull(z.fr, raw); err != nil {
+		panic(runError{errTraceInflate})
+	}
+	if k, err := z.fr.Read(z.one[:]); k != 0 || err != io.EOF || z.br.Len() != 0 ||
+		crc32.Update(uint32(ci), crc32.IEEETable, raw) != sum {
+		panic(runError{errTraceInflate})
+	}
 }
 
 // traceWriter is a recording run's state: operand bytes go straight to the
@@ -248,7 +397,9 @@ func (t *Trace) putWord(word uint64) {
 }
 
 // seal ends a successful recording. A trace that outgrew its cap is emptied
-// instead.
+// instead, and marks the module it records for. A compressed trace
+// compresses each stream's last chunk; one that records for its module
+// becomes the module's kept trace.
 func (w *traceWriter) seal(output uint64) {
 	w.flush()
 	t := w.t
@@ -260,11 +411,28 @@ func (w *traceWriter) seal(output uint64) {
 		t.ops.n = 0
 	}
 	if t.over {
+		if t.claim != nil {
+			t.claim.overCap.Store(true)
+		}
 		t.Release()
 		return
 	}
+	if t.compress {
+		for _, s := range []*tstream{&t.ops, &t.esc, &t.bits} {
+			if s.cur != nil {
+				t.deflate(s)
+				traceChunks.Put(s.cur)
+				s.cur = nil
+			}
+		}
+	}
 	t.output = output
 	t.sealed = true
+	if lm := t.claim; lm != nil {
+		t.claim, t.kept = nil, true
+		lm.kept.Store(t)
+		lm.claimed.Store(false)
+	}
 }
 
 var (
@@ -293,7 +461,9 @@ type traceReader struct {
 
 // cursor reads one stream at n in its chunk ci. An escape may start at n
 // while n < lim: lim stops the reader where the writer took a new chunk,
-// and, in the last chunk, at the end of the recording.
+// and, in the last chunk, at the end of the recording. Over a compressed
+// stream cur is the reader's own chunk, into which each chunk is inflated
+// in turn.
 type cursor struct {
 	ci  int
 	cur *traceChunk
@@ -318,15 +488,41 @@ func (r *traceReader) open(t *Trace, lm *lowModule, a *arena) error {
 	return nil
 }
 
+// closeReplay returns what a replay of a compressed trace took from the
+// pools: its inflater and the chunks its cursors inflated into.
+func (en *cvm) closeReplay() {
+	if en.z == nil {
+		return
+	}
+	r := &en.rd
+	for _, c := range []*cursor{&r.ops, &r.esc, &r.bits} {
+		if c.cur != nil {
+			traceChunks.Put(c.cur)
+			c.cur = nil
+		}
+	}
+	inflaters.Put(en.z)
+	en.z = nil
+}
+
 // advance moves c to the next chunk of s, reporting false if there is none.
-func (c *cursor) advance(s *tstream) bool {
-	if c.ci+1 >= len(s.chunks) {
+// A compressed stream's chunk is inflated into c's own chunk by z.
+func (c *cursor) advance(s *tstream, z *inflater) bool {
+	if c.ci+1 >= s.count() {
 		return false
 	}
 	c.ci++
-	c.cur, c.n = s.chunks[c.ci], 0
+	c.n = 0
+	if z != nil {
+		if c.cur == nil {
+			c.cur = traceChunks.Get().(*traceChunk)
+		}
+		z.inflate(s.z[c.ci], c.ci, c.cur)
+	} else {
+		c.cur = s.chunks[c.ci]
+	}
 	c.lim = escStart + 1
-	if c.ci == len(s.chunks)-1 {
+	if c.ci == s.count()-1 {
 		c.lim = min(c.lim, s.n)
 	}
 	return true
@@ -335,7 +531,7 @@ func (c *cursor) advance(s *tstream) bool {
 // finish checks that the replay consumed its trace exactly.
 func (r *traceReader) finish() error {
 	at := func(c *cursor, s *tstream) bool {
-		return c.ci == len(s.chunks)-1 && (c.ci < 0 || c.n == s.n)
+		return c.ci == s.count()-1 && (c.ci < 0 || c.n == s.n)
 	}
 	if r.ei != len(r.escs) || r.escLeft != 0 || r.wordBits != 0 || r.bitsLeft != 0 ||
 		!at(&r.ops, &r.t.ops) || !at(&r.esc, &r.t.esc) {
@@ -354,7 +550,7 @@ func (r *traceReader) short(k int) bool {
 // trace has them.
 func (en *cvm) need(k int) {
 	r := &en.rd
-	if r.ops.n+k > traceChunkSize && !r.ops.advance(&r.t.ops) {
+	if r.ops.n+k > traceChunkSize && !r.ops.advance(&r.t.ops, en.z) {
 		en.fail(errTraceOverrun)
 	}
 	if len(r.escs)-r.ei < k && r.escLeft > 0 {
@@ -403,7 +599,7 @@ func (en *cvm) decodeEscapes(k int) {
 	n := copy(r.buf, r.escs[r.ei:])
 	c := &r.esc
 	for ; n < len(r.buf) && r.escLeft > 0; n++ {
-		if c.n >= c.lim && (c.n <= escStart || !c.advance(&r.t.esc)) {
+		if c.n >= c.lim && (c.n <= escStart || !c.advance(&r.t.esc, en.z)) {
 			en.fail(errTraceOverrun)
 		}
 		u, w := binary.Uvarint(c.cur[c.n:])
@@ -428,7 +624,7 @@ func (en *cvm) nextWord() {
 		return
 	}
 	c := &r.bits
-	if c.n > traceChunkSize-8 && !c.advance(&r.t.bits) {
+	if c.n > traceChunkSize-8 && !c.advance(&r.t.bits, en.z) {
 		en.fail(errTraceOverrun)
 	}
 	r.word = binary.LittleEndian.Uint64(c.cur[c.n:])

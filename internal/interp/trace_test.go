@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -42,7 +44,8 @@ func runTraced(t *testing.T, m *ir.Module, seed uint64, capture, replay *Trace) 
 // without touching the original.
 func copyTrace(tr *Trace) *Trace {
 	c := *tr
-	for _, s := range []*tstream{&c.ops, &c.bits} {
+	c.kept = false
+	for _, s := range []*tstream{&c.ops, &c.esc, &c.bits} {
 		chunks := make([]*traceChunk, len(s.chunks))
 		for i, ch := range s.chunks {
 			cp := *ch
@@ -52,29 +55,92 @@ func copyTrace(tr *Trace) *Trace {
 		if len(chunks) > 0 {
 			s.cur = chunks[len(chunks)-1]
 		}
+		z := make([][]byte, len(s.z))
+		for i, b := range s.z {
+			z[i] = bytes.Clone(b)
+		}
+		s.z = z
 	}
 	return &c
 }
 
-// TestReplayOfDamagedTraceFails replays traces cut short, or carrying more
-// than the run reads, in each stream: every replay must return an error,
-// never numbers, while the undamaged trace still replays.
-func TestReplayOfDamagedTraceFails(t *testing.T) {
+// recordCactus records cactusADM at scale 0.05 into a raw trace and into
+// the compressed trace its module keeps, and checks that they hold at
+// least two operand chunks, an escape and a branch.
+func recordCactus(t *testing.T) (m *ir.Module, want Result, raw, kept *Trace) {
+	t.Helper()
 	b, _ := spec.ByName("cactusADM")
 	m, err := compiler.Compile(b.Build(0.05), compiler.Options{Level: compiler.O2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTrace()
-	defer tr.Release()
-	want, err := runTraced(t, m, 1, tr, nil)
-	if err != nil || !tr.Replayable() {
-		t.Fatalf("recording: %v (replayable %v)", err, tr.Replayable())
+	raw = NewTrace()
+	want, err = runTraced(t, m, 1, raw, nil)
+	if err != nil || !raw.Replayable() {
+		t.Fatalf("recording: %v (replayable %v)", err, raw.Replayable())
 	}
-	if len(tr.ops.chunks) < 2 || tr.nEsc == 0 || tr.nBits == 0 {
+	if len(raw.ops.chunks) < 2 || raw.nEsc == 0 || raw.nBits == 0 {
 		t.Fatalf("trace has %d operand chunks, %d escapes and %d branches; the test needs at least 2, 1 and 1",
-			len(tr.ops.chunks), tr.nEsc, tr.nBits)
+			len(raw.ops.chunks), raw.nEsc, raw.nBits)
 	}
+	kept = ClaimTrace(m)
+	if got, err := runTraced(t, m, 1, kept, nil); err != nil || !reflect.DeepEqual(got, want) || KeptTrace(m) != kept {
+		t.Fatalf("recording for the module: %+v, %v; want %+v", got, err, want)
+	}
+	return m, want, raw, kept
+}
+
+// TestCompressedTraceKeepsRawFormat checks that a trace recorded for its
+// module holds the raw recording's three streams chunk for chunk: each
+// compressed chunk inflates to the bytes written to the raw chunk.
+func TestCompressedTraceKeepsRawFormat(t *testing.T) {
+	_, _, raw, kept := recordCactus(t)
+	defer raw.Release()
+	if kept.Bytes()*10 > raw.Bytes() {
+		t.Errorf("compressed trace is %d bytes, raw %d: want under a tenth", kept.Bytes(), raw.Bytes())
+	}
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	for name, pair := range map[string][2]*tstream{
+		"operands": {&raw.ops, &kept.ops}, "escapes": {&raw.esc, &kept.esc}, "branches": {&raw.bits, &kept.bits},
+	} {
+		r, c := pair[0], pair[1]
+		if len(c.chunks) != 0 || c.cur != nil || len(c.z) != len(r.chunks) || c.n != r.n {
+			t.Fatalf("%s: compressed stream has %d raw and %d compressed chunks, end %d; raw has %d chunks, end %d",
+				name, len(c.chunks), len(c.z), c.n, len(r.chunks), r.n)
+		}
+		var last int
+		for i := range c.z {
+			var got traceChunk
+			func() {
+				defer func() {
+					if e := recover(); e != nil {
+						t.Fatalf("%s: chunk %d: %v", name, i, e)
+					}
+				}()
+				z.inflate(c.z[i], i, &got)
+			}()
+			// The bytes a chunk holds end where the writer moved past it,
+			// or, in the last chunk, at the end of the recording.
+			zc := c.z[i]
+			last = int(binary.LittleEndian.Uint32(zc[len(zc)-4:]))
+			if !bytes.Equal(got[:last], r.chunks[i][:last]) {
+				t.Fatalf("%s: chunk %d does not inflate to the raw chunk's %d bytes", name, i, last)
+			}
+		}
+		if len(c.z) > 0 && last != r.n {
+			t.Fatalf("%s: the last chunk holds %d bytes, the raw one %d", name, last, r.n)
+		}
+	}
+}
+
+// TestReplayOfDamagedTraceFails replays traces cut short, or carrying more
+// than the run reads, in each stream, and compressed traces with a stream
+// cut short, a byte flipped or a chunk missing: every replay must return an
+// error, never numbers, while the undamaged traces still replay.
+func TestReplayOfDamagedTraceFails(t *testing.T) {
+	m, want, tr, kept := recordCactus(t)
+	defer tr.Release()
 	for name, damage := range map[string]func(*Trace){
 		"last operand byte cut":  func(c *Trace) { c.ops.n-- },
 		"last operand chunk cut": func(c *Trace) { c.ops.chunks = c.ops.chunks[:len(c.ops.chunks)-1] },
@@ -93,8 +159,37 @@ func TestReplayOfDamagedTraceFails(t *testing.T) {
 			t.Errorf("%s: replay returned %+v", name, res)
 		}
 	}
-	got, err := runTraced(t, m, 1, nil, tr)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("undamaged replay: %+v, %v; want %+v", got, err, want)
+	for name, damage := range map[string]func(*Trace){
+		"operand stream truncated": func(c *Trace) {
+			z := c.ops.z[0]
+			c.ops.z[0] = append(z[:len(z)/2:len(z)/2], z[len(z)-8:]...)
+		},
+		"operand length raised": func(c *Trace) { c.ops.z[0][len(c.ops.z[0])-4]++ },
+		"escape stream truncated": func(c *Trace) {
+			z := c.esc.z[len(c.esc.z)-1]
+			c.esc.z[len(c.esc.z)-1] = append(z[:len(z)-10:len(z)-10], z[len(z)-8:]...)
+		},
+		"operand byte flipped": func(c *Trace) { c.ops.z[1][len(c.ops.z[1])/2] ^= 0x10 },
+		"branch byte flipped":  func(c *Trace) { c.bits.z[0][len(c.bits.z[0])/3] ^= 0x01 },
+		"checksum flipped":     func(c *Trace) { c.ops.z[0][len(c.ops.z[0])-5] ^= 0x80 },
+		"operand chunk missing": func(c *Trace) {
+			c.ops.z = append(c.ops.z[:0:0], c.ops.z[1:]...)
+		},
+		"last branch chunk missing": func(c *Trace) { c.bits.z = c.bits.z[:len(c.bits.z)-1] },
+		"operand chunks swapped": func(c *Trace) {
+			c.ops.z[0], c.ops.z[1] = c.ops.z[1], c.ops.z[0]
+		},
+	} {
+		c := copyTrace(kept)
+		damage(c)
+		if res, err := runTraced(t, m, 2, nil, c); err == nil {
+			t.Errorf("compressed, %s: replay returned %+v", name, res)
+		}
+	}
+	for name, tr := range map[string]*Trace{"raw": tr, "compressed": kept} {
+		got, err := runTraced(t, m, 1, nil, tr)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("undamaged %s replay: %+v, %v; want %+v", name, got, err, want)
+		}
 	}
 }

@@ -78,7 +78,9 @@ const replayLegSteps = 2_000_000
 // level, the program is recorded in one layout cell and replayed in two
 // others, and each replay must match a full compiled run of its cell in
 // error, Result, machine counters and STABILIZER Stats. A recording whose
-// run failed must leave nothing to replay.
+// run failed must leave nothing to replay. Each level records twice: into
+// a raw trace, as a pool shard does, and into the compressed trace its
+// module keeps (interp.ClaimTrace), as a one-run cell does.
 func replayLeg(t *testing.T, seed uint64, src *ir.Module, opts Options) {
 	opts.MaxSteps = replayLegSteps
 	opts.defaults()
@@ -105,25 +107,38 @@ func replayLeg(t *testing.T, seed uint64, src *ir.Module, opts Options) {
 			t.Fatalf("seed %d: compiling at %s: %v", seed, lv, err)
 		}
 		v.mods[lv] = m
+		traces := []*interp.Trace{interp.NewTrace(), interp.ClaimTrace(m)}
+		if traces[1] == nil {
+			t.Fatalf("seed %d: %s: a fresh module refused a recording", seed, lv)
+		}
 		cell := Cell{Program: "replay", Seed: 1, Level: lv, Allocator: opts.Allocators[0]}
-		tr := interp.NewTrace()
-		rec := run(cell, tr, nil)
-		if rec.err != nil {
-			if tr.Replayable() {
-				t.Fatalf("seed %d: %v: a recording that failed (%v) is replayable", seed, cell, rec.err)
+		failed := false
+		for _, tr := range traces {
+			if rec := run(cell, tr, nil); rec.err != nil {
+				if tr.Replayable() || interp.KeptTrace(m) != nil {
+					t.Fatalf("seed %d: %v: a recording that failed (%v) is replayable", seed, cell, rec.err)
+				}
+				failed = true
 			}
-			continue
 		}
 		for _, s := range []uint64{2, 3} {
+			if failed {
+				break // nothing to replay
+			}
 			cell.Seed = s
-			full, rep := run(cell, nil, nil), run(cell, nil, tr)
-			if fmt.Sprint(full.err) != fmt.Sprint(rep.err) || !reflect.DeepEqual(full.res, rep.res) ||
-				full.counters != rep.counters || full.st.Stats != rep.st.Stats {
-				t.Fatalf("seed %d: %v: replay diverges from the full run:\n  full:   %v %+v %+v\n  replay: %v %+v %+v",
-					seed, cell, full.err, full.res, full.st.Stats, rep.err, rep.res, rep.st.Stats)
+			full := run(cell, nil, nil)
+			for _, tr := range traces {
+				rep := run(cell, nil, tr)
+				if fmt.Sprint(full.err) != fmt.Sprint(rep.err) || !reflect.DeepEqual(full.res, rep.res) ||
+					full.counters != rep.counters || full.st.Stats != rep.st.Stats {
+					t.Fatalf("seed %d: %v: replay diverges from the full run:\n  full:   %v %+v %+v\n  replay: %v %+v %+v",
+						seed, cell, full.err, full.res, full.st.Stats, rep.err, rep.res, rep.st.Stats)
+				}
 			}
 		}
-		tr.Release()
+		for _, tr := range traces {
+			tr.Release()
+		}
 	}
 }
 
