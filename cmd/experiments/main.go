@@ -197,10 +197,10 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 	if *verify {
 		fmt.Println("==== verify-semantics (pre-flight) ====")
 		start := time.Now()
-		rep, err := experiment.VerifySemantics(ctx, suite, experiment.VerifyOptions{
+		rep, err := oracle.VerifySemantics(ctx, suite, oracle.VerifyOptions{
 			Scale:   *scale,
 			Workers: *jobs,
-			Oracle:  oracle.Options{Levels: verifyLevels},
+			Matrix:  oracle.Options{Levels: verifyLevels},
 		})
 		if err != nil {
 			fail("verify-semantics: %v", err)

@@ -41,7 +41,8 @@ func runVerify(args []string) int {
 	bench := fs.String("bench", "", "verify only this benchmark (default: full suite + examples)")
 	seeds := fs.Int("seeds", 3, "randomization seeds per cell axis")
 	levels := fs.String("O", "0,1,2,3", "comma-separated optimization levels to sweep")
-	allocs := fs.String("allocs", strings.Join(oracle.AllocatorNames, ","), "comma-separated heap allocators to sweep")
+	allocs := fs.String("allocs", strings.Join(oracle.AllocatorNames, ","),
+		"comma-separated heap allocators to sweep under STABILIZER (native: the native runtime and its TLSF heap)")
 	scale := fs.Float64("scale", 0.1, "workload scale (verification sweeps many cells; keep small)")
 	jobs := fs.Int("j", 0, "parallel workers (0 = $SZ_PARALLEL or GOMAXPROCS)")
 	interval := fs.Uint64("interval", 0, "re-randomization interval in cycles (0 = oracle default)")
@@ -77,10 +78,10 @@ func runVerify(args []string) int {
 		benches = []spec.Benchmark{b}
 	}
 
-	opts := experiment.VerifyOptions{
+	opts := oracle.VerifyOptions{
 		Scale:   *scale,
 		Workers: *jobs,
-		Oracle: oracle.Options{
+		Matrix: oracle.Options{
 			Seeds:      seedList,
 			Levels:     lvs,
 			Allocators: strings.Split(*allocs, ","),
@@ -89,10 +90,10 @@ func runVerify(args []string) int {
 	}
 
 	fmt.Printf("verifying semantic invariance: %d programs x %d seeds x %d levels x %d allocators x %d engines\n",
-		len(benches), len(seedList), len(lvs), len(opts.Oracle.Allocators), len(interp.Engines()))
+		len(benches), len(seedList), len(lvs), len(opts.Matrix.Allocators), len(interp.Engines()))
 	ctx, stop := experiment.NotifyShutdown(context.Background(), os.Stderr)
 	defer stop()
-	rep, err := experiment.VerifySemantics(ctx, benches, opts)
+	rep, err := oracle.VerifySemantics(ctx, benches, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stabilizer verify: %v\n", err)
 		return 1

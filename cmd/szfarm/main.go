@@ -285,6 +285,11 @@ func cmdWork(args []string) error {
 	experiment.SetParallelism(*jobs)
 	scope := obs.NewScope()
 	scope.Log = obs.NewLogger(os.Stderr, obs.LevelInfo)
+	// The engine's counters (compile cache, replays, kept traces) share the
+	// worker's registry. Only the registry: a tracer keeps every span for
+	// the life of the process, and the engine's per-cell log lines would
+	// double the worker's own.
+	experiment.SetObs(&obs.Scope{Metrics: scope.Metrics})
 	ctx, stop := experiment.NotifyShutdown(context.Background(), os.Stderr)
 	defer stop()
 	if *metricsAddr != "" {

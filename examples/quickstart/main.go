@@ -1,13 +1,17 @@
-// Quickstart: build a program, run it natively and under STABILIZER, and
-// use a t-test to ask the paper's question — "does a given change to a
-// program affect its performance, or is this effect indistinguishable from
-// noise?" (§2).
+// Quickstart: run a program natively and under STABILIZER, before and after
+// a change, and use a t-test to ask the paper's question — "does a given
+// change to a program affect its performance, or is this effect
+// indistinguishable from noise?" (§2).
 //
-// The "change" here is deliberately a non-change: the same program with a
-// padding variable added to one function. Natively, the padding shifts every
-// downstream function and the measured difference looks real; under
-// STABILIZER the layouts are randomized away and the t-test correctly finds
-// nothing.
+// The "change" is deliberately a non-change: the same program (see
+// spec.QuickstartProgram) with an unused stack slot in one helper, the kind
+// of incidental edit (§1: "adding or removing a stack variable") that moves
+// addresses after it. In the simulated machine it changes nothing: every
+// native run of either version, at any seed, takes the same number of
+// cycles, and only the 0.25% system-noise term spreads the measured times.
+// So both t-tests should find nothing, and at p < 0.05 each still finds
+// something in one comparison out of twenty. examples/layoutbias shows the
+// layout bias the model does have.
 package main
 
 import (
@@ -16,112 +20,45 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/heap"
-	"repro/internal/interp"
-	"repro/internal/ir"
-	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/rng"
+	"repro/internal/experiment"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
-// buildProgram returns the quickstart demo program (see
-// spec.QuickstartProgram): a hot hash loop over a few helper functions,
-// with extraPad adding a do-nothing stack slot to one helper — the kind of
-// incidental edit (§1: "adding or removing a stack variable") that moves
-// every address after it.
-func buildProgram(extraPad bool) *ir.Module {
-	return spec.QuickstartProgram(extraPad, 1.0)
-}
+func main() {
+	const runs = 30
+	ex := spec.Examples() // the program, then the program with the change
+	stabilized := core.Options{Code: true, Stack: true, Heap: true, Rerandomize: true, Interval: 20_000}
 
-// run executes m once and returns simulated seconds. Under STABILIZER when
-// stabilized is true, natively otherwise. The seed drives every random
-// choice of the run.
-func run(m *ir.Module, stabilized bool, seed uint64) float64 {
-	r := rng.NewMarsaglia(seed)
-	as := mem.NewAddressSpace()
-	as.SetASLR(r.Split().Intn)
-	img, err := compiler.Link(m, compiler.DefaultOrder(len(m.Funcs)), as)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mach := machine.New(machine.DefaultConfig())
-	mach.SetPhysicalSeed(r.Next64())
-
-	var rt interp.Runtime
-	if stabilized {
-		st, err := core.New(m, mach, as, img.FuncAddrs, img.GlobalAddrs, core.Options{
-			Code: true, Stack: true, Heap: true,
-			Rerandomize: true, Interval: 20_000, Seed: r.Next64(),
-		})
+	// sample runs b `runs` times at -O1 with seeds base, base+1, …
+	sample := func(b spec.Benchmark, st *core.Options, base uint64) []float64 {
+		c, err := experiment.CompileBench(b, experiment.Config{Level: compiler.O1, Stabilizer: st})
 		if err != nil {
 			log.Fatal(err)
 		}
-		rt = st
-	} else {
-		rt = &interp.NativeRuntime{
-			FuncAddrs:   img.FuncAddrs,
-			GlobalAddrs: img.GlobalAddrs,
-			Stack:       as.StackBase(),
-			Heap:        heap.NewTLSF(as, 1<<22),
-			Mach:        mach,
+		s, err := c.Samples(runs, base)
+		if err != nil {
+			log.Fatal(err)
 		}
+		return s
 	}
-	res, err := interp.Run(m, interp.Options{Machine: mach, Runtime: rt})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// A pinch of system noise, as on any real machine.
-	return res.Seconds * (1 + 0.0025*r.NormFloat64())
-}
-
-func main() {
-	const runs = 30
-
-	before, err := compiler.Compile(buildProgram(false), compiler.Options{Level: compiler.O1, Stabilize: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	after, err := compiler.Compile(buildProgram(true), compiler.Options{Level: compiler.O1, Stabilize: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	beforeNative, _ := compiler.Compile(buildProgram(false), compiler.Options{Level: compiler.O1})
-	afterNative, _ := compiler.Compile(buildProgram(true), compiler.Options{Level: compiler.O1})
-
-	sample := func(m *ir.Module, stabilized bool, base uint64) []float64 {
-		out := make([]float64, runs)
-		for i := range out {
-			out[i] = run(m, stabilized, base+uint64(i))
+	report := func(name string, before, after []float64) {
+		t := stats.WelchT(before, after)
+		verdict := "not significant"
+		if t.Significant(0.05) {
+			verdict = "significant"
 		}
-		return out
+		fmt.Printf("%-11s before %.6fs, after %.6fs (%+.2f%%), t-test p = %.4f  -> %s\n", name+":",
+			stats.Mean(before), stats.Mean(after), (stats.Mean(after)/stats.Mean(before)-1)*100, t.P, verdict)
 	}
 
 	fmt.Println("The 'change': an unused 64-byte stack slot in one helper function.")
 	fmt.Println()
-
-	nb := sample(beforeNative, false, 100)
-	na := sample(afterNative, false, 200)
-	tn := stats.WelchT(nb, na)
-	fmt.Printf("native:     before %.6fs, after %.6fs (%+.2f%%), t-test p = %.4f",
-		stats.Mean(nb), stats.Mean(na),
-		(stats.Mean(na)/stats.Mean(nb)-1)*100, tn.P)
-	if tn.Significant(0.05) {
-		fmt.Println("  -> 'significant' (measurement bias!)")
-	} else {
-		fmt.Println("  -> not significant")
-	}
-
-	sb := sample(before, true, 300)
-	sa := sample(after, true, 400)
-	ts := stats.WelchT(sb, sa)
-	fmt.Printf("STABILIZER: before %.6fs, after %.6fs (%+.2f%%), t-test p = %.4f",
-		stats.Mean(sb), stats.Mean(sa),
-		(stats.Mean(sa)/stats.Mean(sb)-1)*100, ts.P)
-	if ts.Significant(0.05) {
-		fmt.Println("  -> significant")
-	} else {
-		fmt.Println("  -> not significant (correct: the change does nothing)")
-	}
+	report("native", sample(ex[0], nil, 100), sample(ex[1], nil, 200))
+	report("STABILIZER", sample(ex[0], &stabilized, 300), sample(ex[1], &stabilized, 400))
+	fmt.Println()
+	fmt.Println("The change does nothing in this model: natively, every run of either version")
+	fmt.Println("takes the same number of cycles, and only the 0.25% noise term varies. A")
+	fmt.Println("'significant' verdict here would be one of the false positives p < 0.05 allows.")
+	fmt.Println("For the layout bias the model does show, link order: go run ./examples/layoutbias")
 }

@@ -67,7 +67,7 @@ func compileCached(b spec.Benchmark, scale float64, copts compiler.Options) (*ir
 		// convert it to an error like any other compile failure.
 		defer func() {
 			if r := recover(); r != nil {
-				e.err = fmt.Errorf("experiment: compile %s: panic: %v", b.Name, r)
+				e.err = fmt.Errorf("panic: %v", r)
 				e.poisoned = true
 			}
 		}()

@@ -7,12 +7,8 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/heap"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/rng"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -148,26 +144,23 @@ func Phases(ctx context.Context, opts PhasesOptions) (*PhasesResult, error) {
 	opts.defaults()
 	b := phasedBenchmark()
 
-	// 1. Trace one native run to show the phases.
-	src, err := compiler.Compile(b.Build(opts.Scale), compiler.Options{Level: compiler.O2})
+	// 1. Trace one native run to show the phases: the run a native cell
+	// makes at opts.Seed, with a sampler around its runtime.
+	c, err := CompileBench(b, Config{Scale: opts.Scale, Level: compiler.O2})
 	if err != nil {
 		return nil, err
 	}
-	as := mem.NewAddressSpace()
-	img, err := compiler.Link(src, compiler.DefaultOrder(len(src.Funcs)), as)
+	run, err := NewRun(c.Module, c.Cfg, opts.Seed^runSalt, nil)
 	if err != nil {
 		return nil, err
 	}
-	mach := machine.New(machine.DefaultConfig())
-	mach.SetPhysicalSeed(rng.NewMarsaglia(opts.Seed).Next64())
-	sampler := trace.New(&interp.NativeRuntime{
-		FuncAddrs: img.FuncAddrs, GlobalAddrs: img.GlobalAddrs,
-		Stack: as.StackBase(), Heap: heap.NewTLSF(as, 1<<22), Mach: mach,
-	}, mach, 40_000)
-	if _, err := interp.Run(src, interp.Options{Machine: mach, Runtime: sampler}); err != nil {
-		return nil, err
-	}
+	sampler := trace.New(run.Runtime, run.Machine, 40_000)
+	_, err = interp.Run(c.Module, interp.Options{Machine: run.Machine, Runtime: sampler})
 	series := sampler.Series()
+	run.Release()
+	if err != nil {
+		return nil, err
+	}
 
 	// 2. Normality with one-time vs re-randomization.
 	once := core.Options{Code: true, Stack: true, Heap: true}

@@ -177,47 +177,74 @@ var runFull traceUse
 // allocating and zeroing fresh tables (the L3 tag array alone is 512 KiB).
 var machines = sync.Pool{New: func() any { return machine.New(machine.DefaultConfig()) }}
 
-func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu traceUse) (RunResult, *obs.Profile, error) {
-	r := rng.NewMarsaglia(seed ^ 0x5ab1112e)
-	as := mem.NewAddressSpaceEnv(c.Cfg.EnvSize)
+// runSalt decorrelates a measured run's random stream from its seed: Run
+// and Collect build seed's run from the stream seed^runSalt.
+const runSalt = 0x5ab1112e
+
+// A Run is one simulated run, assembled by NewRun and ready for
+// interp.Run. Release returns its machine to the pool.
+type Run struct {
+	Machine *machine.Machine
+	Runtime interp.Runtime
+	// Stabilizer is Runtime when it is the STABILIZER runtime, nil for a
+	// native run.
+	Stabilizer *core.Stabilizer
+	// Stream is the run's random stream after NewRun's draws; the caller's
+	// own draws (the noise term) continue it.
+	Stream rng.Marsaglia
+}
+
+// NewRun builds one run of m under cfg from the already salted stream
+// seed. It is the one place a simulated run is assembled: measured runs,
+// the semantic-invariance oracle, traced runs and the examples all take
+// theirs from it. It reads cfg's EnvSize, RandomLinkOrder and Stabilizer,
+// and draws from the stream in this order, which fixes every run's
+// layout:
+//
+//  1. the mmap ASLR stream (Split);
+//  2. the link-order stream (Split), only when RandomLinkOrder is set;
+//  3. the physical page seed (Next64);
+//  4. the STABILIZER seed (Next64), only when Stabilizer is set;
+//  5. the heap override's stream (Split), only when heapOverride is given.
+//
+// A native run gets the fine-grained coalescing TLSF heap in the role of
+// libc malloc; STABILIZER's power-of-two base then shows the size-class
+// waste the paper attributes cactusADM's overhead to. A non-nil
+// heapOverride, which only a STABILIZER run takes, builds the heap
+// allocator in place of the runtime's own.
+func NewRun(m *ir.Module, cfg Config, seed uint64,
+	heapOverride func(*mem.AddressSpace, *rng.Marsaglia) (heap.Allocator, error)) (Run, error) {
+	r := rng.NewMarsaglia(seed)
+	as := mem.NewAddressSpaceEnv(cfg.EnvSize)
 	// mmap ASLR is on for every run, native or stabilized, as on a stock
 	// Linux kernel: large allocations land at a fresh random base each run.
-	aslr := r.Split()
-	as.SetASLR(aslr.Intn)
-
-	order := compiler.DefaultOrder(len(c.Module.Funcs))
-	if c.Cfg.RandomLinkOrder {
-		order = compiler.RandomOrder(len(c.Module.Funcs), r.Split())
+	as.SetASLR(r.Split().Intn)
+	order := compiler.DefaultOrder(len(m.Funcs))
+	if cfg.RandomLinkOrder {
+		order = compiler.RandomOrder(len(m.Funcs), r.Split())
 	}
-	img, err := compiler.Link(c.Module, order, as)
+	img, err := compiler.Link(m, order, as)
 	if err != nil {
-		return RunResult{}, nil, err
+		return Run{}, fmt.Errorf("link: %w", err)
 	}
-	mcfg := machine.DefaultConfig()
 	mach := machines.Get().(*machine.Machine)
 	// Reset on every take: a run that trapped, panicked or was interrupted
 	// put its machine back mid-flight.
 	mach.Reset()
-	defer machines.Put(mach)
 	// Every run gets a fresh physical page assignment, as on a real OS.
 	mach.SetPhysicalSeed(r.Next64())
+	run := Run{Machine: mach}
 
-	var rt interp.Runtime
-	var st *core.Stabilizer
-	if c.Cfg.Stabilizer != nil {
-		opts := *c.Cfg.Stabilizer
+	if cfg.Stabilizer != nil {
+		opts := *cfg.Stabilizer
 		opts.Seed = r.Next64()
-		var err error
-		st, err = core.New(c.Module, mach, as, img.FuncAddrs, img.GlobalAddrs, opts)
-		if err != nil {
-			return RunResult{}, nil, err
+		if run.Stabilizer, err = core.New(m, mach, as, img.FuncAddrs, img.GlobalAddrs, opts); err != nil {
+			run.Release()
+			return Run{}, fmt.Errorf("runtime: %w", err)
 		}
-		rt = st
+		run.Runtime = run.Stabilizer
 	} else {
-		// Native runs get the fine-grained coalescing allocator in the role
-		// of libc malloc; STABILIZER's power-of-two base then shows the
-		// size-class waste the paper attributes cactusADM's overhead to.
-		rt = &interp.NativeRuntime{
+		run.Runtime = &interp.NativeRuntime{
 			FuncAddrs:   img.FuncAddrs,
 			GlobalAddrs: img.GlobalAddrs,
 			Stack:       as.StackBase(),
@@ -225,6 +252,28 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu tra
 			Mach:        mach,
 		}
 	}
+	if heapOverride != nil {
+		alloc, err := heapOverride(as, r.Split())
+		if err != nil {
+			run.Release()
+			return Run{}, err
+		}
+		run.Stabilizer.SetHeapAllocator(alloc)
+	}
+	run.Stream = *r
+	return run, nil
+}
+
+// Release returns the run's machine to the pool. The run must not be used
+// after it.
+func (r Run) Release() { machines.Put(r.Machine) }
+
+func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu traceUse) (RunResult, *obs.Profile, error) {
+	run, err := NewRun(c.Module, c.Cfg, seed^runSalt, nil)
+	if err != nil {
+		return RunResult{}, nil, fmt.Errorf("experiment: run %s: %w", c.Bench.Name, err)
+	}
+	defer run.Release()
 
 	var interrupt func() error
 	if ctx.Done() != nil {
@@ -232,8 +281,8 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu tra
 	}
 	var prof *obs.Profiler
 	iopts := interp.Options{
-		Machine:   mach,
-		Runtime:   rt,
+		Machine:   run.Machine,
+		Runtime:   run.Runtime,
 		MaxSteps:  c.Cfg.MaxSteps,
 		Profile:   c.Cfg.Profile,
 		Interrupt: interrupt,
@@ -242,7 +291,7 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu tra
 		Replay:    tu.replay,
 	}
 	if profile {
-		prof = obs.NewProfiler(c.Module, mcfg)
+		prof = obs.NewProfiler(c.Module, machine.DefaultConfig())
 		iopts.Observer = prof
 	}
 	hostStart := time.Now()
@@ -258,20 +307,20 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu tra
 	}
 	seconds := res.Seconds
 	if noise > 0 {
-		seconds *= 1 + noise*r.NormFloat64()
+		seconds *= 1 + noise*run.Stream.NormFloat64()
 	}
 	out := RunResult{
 		Seconds:      seconds,
 		Cycles:       res.Cycles,
 		Instructions: res.Instructions,
 		Output:       res.Output,
-		Counters:     mach.Snapshot(),
+		Counters:     run.Machine.Snapshot(),
 		Profile:      res.Profile,
 	}
 	if c.Cfg.Throughput {
 		out.HostSeconds = hostElapsed.Seconds()
 	}
-	if st != nil {
+	if st := run.Stabilizer; st != nil {
 		out.Rerands = st.Stats.Rerands
 		out.Relocations = st.Stats.Relocations
 		out.AdaptiveTriggers = st.Stats.AdaptiveTriggers
@@ -280,7 +329,7 @@ func (c *Compiled) runCtx(ctx context.Context, seed uint64, profile bool, tu tra
 	if prof != nil {
 		// The runtime is still alive here, so the captured layout is the
 		// run's actual one — under randomization, the final placement.
-		lay := rt.Layout()
+		lay := run.Runtime.Layout()
 		prof.CaptureLayout(func(fn int) mem.Addr { return lay.Funcs[fn].Code },
 			func(g int) mem.Addr { return lay.Globals[g] })
 		p = prof.Profile()

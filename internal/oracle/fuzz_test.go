@@ -92,14 +92,15 @@ func replayLeg(t *testing.T, seed uint64, src *ir.Module, opts Options) {
 		st       *core.Stabilizer
 	}
 	run := func(cell Cell, capture, replay *interp.Trace) outcome {
-		mach, st, err := v.cellRuntime(cell)
+		run, err := v.cellRun(cell)
 		if err != nil {
 			t.Fatalf("seed %d: %v: %v", seed, cell, err)
 		}
+		defer run.Release()
 		res, err := interp.Run(v.mods[cell.Level], interp.Options{
-			Machine: mach, Runtime: st, MaxSteps: opts.MaxSteps, Capture: capture, Replay: replay,
+			Machine: run.Machine, Runtime: run.Runtime, MaxSteps: opts.MaxSteps, Capture: capture, Replay: replay,
 		})
-		return outcome{res, err, mach.Snapshot(), st}
+		return outcome{res, err, run.Machine.Snapshot(), run.Stabilizer}
 	}
 	for _, lv := range opts.Levels {
 		m, err := compiler.Compile(src, compiler.Options{Level: lv, Stabilize: true})

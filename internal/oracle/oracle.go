@@ -1,7 +1,9 @@
 // Package oracle is the semantic-invariance guard: it executes one program
-// across a matrix of randomization seeds, optimization levels, and heap
-// allocators and asserts that every cell exhibits the same architectural
-// behaviour.
+// across a matrix of randomization seeds, optimization levels, heap
+// allocators (and the native runtime) and execution engines, and asserts
+// that every cell exhibits the same architectural behaviour. Each cell is
+// built by experiment.NewRun, the constructor every measured run uses, so
+// the oracle checks the engine's own run code.
 //
 // The guarantee STABILIZER's statistics rest on is that randomization changes
 // *where* code and data live, never *what* the program computes (§2, §3). The
@@ -28,22 +30,25 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/heap"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/rng"
 	"repro/internal/trap"
 )
 
-// AllocatorNames lists the heap-allocator policies the oracle sweeps by
-// default: the segregated-fit base, TLSF, DieHard, and the shuffling layer
-// over segregated fit.
-var AllocatorNames = []string{"segregated", "tlsf", "diehard", "shuffle"}
+// AllocatorNames lists the heap policies the oracle sweeps by default. The
+// first four run under the STABILIZER runtime with that allocator in place
+// of its own: the segregated-fit base, TLSF, DieHard, and the shuffling
+// layer over segregated fit. "native" runs the native runtime and its TLSF
+// heap, as measured runs without STABILIZER do.
+var AllocatorNames = []string{"segregated", "tlsf", "diehard", "shuffle", "native"}
 
 // seedSalt decorrelates oracle cell RNG streams from the experiment
 // engine's (which salts with 0x5ab1112e).
@@ -72,8 +77,9 @@ type Options struct {
 	// (default 65536).
 	TraceCap int
 
-	// wrapAlloc, when set by tests, wraps each cell's heap allocator. It is
-	// the hook the oracle's own tests use to plant layout-dependent bugs.
+	// wrapAlloc, when set by tests, wraps each STABILIZER cell's heap
+	// allocator. It is the hook the oracle's own tests use to plant
+	// layout-dependent bugs.
 	wrapAlloc func(heap.Allocator) heap.Allocator
 }
 
@@ -141,13 +147,12 @@ func Verify(name string, src *ir.Module, opts Options) (*Result, error) {
 		}
 		mods[lv] = m
 	}
-	return VerifyCompiled(name, mods, opts)
+	return verifyCompiled(name, mods, opts)
 }
 
-// VerifyCompiled runs the matrix over pre-compiled modules (one per level,
-// compiled with Stabilize set). Callers with their own compile cache — the
-// experiment engine — use this entry point.
-func VerifyCompiled(name string, mods map[compiler.OptLevel]*ir.Module, opts Options) (*Result, error) {
+// verifyCompiled runs the matrix over pre-compiled modules (one per level,
+// compiled with Stabilize set).
+func verifyCompiled(name string, mods map[compiler.OptLevel]*ir.Module, opts Options) (*Result, error) {
 	opts.defaults()
 	v := &verifier{name: name, mods: mods, opts: opts}
 	res := &Result{Program: name, Exec: make(map[compiler.OptLevel]uint64, len(opts.Levels))}
@@ -234,24 +239,22 @@ func buildAllocator(name string, as *mem.AddressSpace, r *rng.Marsaglia) (heap.A
 	case "shuffle":
 		return heap.NewShuffle(heap.NewSegregated(as), r, heap.DefaultShuffleN), nil
 	default:
-		return nil, fmt.Errorf("unknown allocator %q (valid: segregated, tlsf, diehard, shuffle)", name)
+		return nil, fmt.Errorf("unknown allocator %q (valid: %s)", name, strings.Join(AllocatorNames, ", "))
 	}
 }
 
-// runCell executes one matrix cell into rec. The construction mirrors the
-// experiment engine's run cells — seeded ASLR, random link order, seeded
-// physical state, the full STABILIZER runtime with re-randomization — except
-// that the heap allocator is swapped per the cell's axis value. A clean run,
-// a program trap, and an uncaught exception are all valid outcomes (each is
-// folded into the digest); any other failure is an infrastructure error.
+// runCell executes one matrix cell into rec. A clean run, a program trap,
+// and an uncaught exception are all valid outcomes (each is folded into the
+// digest); any other failure is an infrastructure error.
 func (v *verifier) runCell(cell Cell, rec *interp.Recorder) error {
-	mach, st, err := v.cellRuntime(cell)
+	run, err := v.cellRun(cell)
 	if err != nil {
 		return err
 	}
+	defer run.Release()
 	_, err = interp.Run(v.mods[cell.Level], interp.Options{
-		Machine:  mach,
-		Runtime:  st,
+		Machine:  run.Machine,
+		Runtime:  run.Runtime,
 		MaxSteps: v.opts.MaxSteps,
 		Record:   rec,
 		Engine:   cell.Engine,
@@ -259,36 +262,29 @@ func (v *verifier) runCell(cell Cell, rec *interp.Recorder) error {
 	return classify(err)
 }
 
-// cellRuntime builds one cell's machine and STABILIZER runtime.
-func (v *verifier) cellRuntime(cell Cell) (*machine.Machine, *core.Stabilizer, error) {
-	mod := v.mods[cell.Level]
-	r := rng.NewMarsaglia(cell.Seed ^ seedSalt)
-	as := mem.NewAddressSpace()
-	as.SetASLR(r.Split().Intn)
-	img, err := compiler.Link(mod, compiler.RandomOrder(len(mod.Funcs), r.Split()), as)
-	if err != nil {
-		return nil, nil, fmt.Errorf("link: %w", err)
+// cellRun builds one cell's run with the experiment engine's own
+// constructor: seeded ASLR, a random link order and a seeded physical page
+// assignment, then either the native runtime with its TLSF heap (allocator
+// "native") or the full STABILIZER runtime with re-randomization and the
+// cell's allocator in place of its own heap.
+func (v *verifier) cellRun(cell Cell) (experiment.Run, error) {
+	cfg := experiment.Config{RandomLinkOrder: true}
+	var alloc func(*mem.AddressSpace, *rng.Marsaglia) (heap.Allocator, error)
+	if cell.Allocator != "native" {
+		cfg.Stabilizer = &core.Options{
+			Code: true, Stack: true, Heap: true,
+			Rerandomize: true,
+			Interval:    v.opts.Interval,
+		}
+		alloc = func(as *mem.AddressSpace, r *rng.Marsaglia) (heap.Allocator, error) {
+			a, err := buildAllocator(cell.Allocator, as, r)
+			if err == nil && v.opts.wrapAlloc != nil {
+				a = v.opts.wrapAlloc(a)
+			}
+			return a, err
+		}
 	}
-	mach := machine.New(machine.DefaultConfig())
-	mach.SetPhysicalSeed(r.Next64())
-	st, err := core.New(mod, mach, as, img.FuncAddrs, img.GlobalAddrs, core.Options{
-		Code: true, Stack: true, Heap: true,
-		Rerandomize: true,
-		Interval:    v.opts.Interval,
-		Seed:        r.Next64(),
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("runtime: %w", err)
-	}
-	alloc, err := buildAllocator(cell.Allocator, as, r.Split())
-	if err != nil {
-		return nil, nil, err
-	}
-	if v.opts.wrapAlloc != nil {
-		alloc = v.opts.wrapAlloc(alloc)
-	}
-	st.SetHeapAllocator(alloc)
-	return mach, st, nil
+	return experiment.NewRun(v.mods[cell.Level], cfg, cell.Seed^seedSalt, alloc)
 }
 
 // classify separates program outcomes (fine: they are in the digest) from

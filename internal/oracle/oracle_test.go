@@ -2,12 +2,15 @@ package oracle
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/heap"
+	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/trap"
 )
@@ -56,7 +59,7 @@ func TestVerifyCleanFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("verify failed on a clean fixture: %v", err)
 	}
-	want := 3 * 4 * 4 * 2 // seeds x levels x allocators x engines
+	want := 3 * 4 * 5 * 2 // seeds x levels x allocators x engines
 	if res.Cells != want {
 		t.Fatalf("ran %d cells, want %d", res.Cells, want)
 	}
@@ -65,6 +68,74 @@ func TestVerifyCleanFixture(t *testing.T) {
 	}
 	if len(res.Exec) != 4 {
 		t.Fatalf("got exec digests for %d levels, want 4", len(res.Exec))
+	}
+}
+
+// TestCellLayoutsPinned pins each cell's layout through the machine
+// counters of its compiled-engine run. The digests are layout-invariant, so
+// they cannot notice the oracle's salt or its draws moving; these counters
+// do. The table was computed before cells were built by experiment.NewRun,
+// so it also holds NewRun to the oracle's historical draw order.
+func TestCellLayoutsPinned(t *testing.T) {
+	want := []struct {
+		level compiler.OptLevel
+		seed  uint64
+		alloc string
+		c     string // the run's machine.Counters, field by field
+	}{
+		{compiler.O0, 1, "segregated", "{3949 521 96 3 240 7 1 9 0 9 341 5 25 1 0}"},
+		{compiler.O0, 1, "tlsf", "{3949 521 96 3 240 7 1 9 0 9 341 5 25 1 0}"},
+		{compiler.O0, 1, "diehard", "{8894 521 96 3 217 30 1 32 0 32 318 28 25 1 0}"},
+		{compiler.O0, 1, "shuffle", "{8294 521 96 3 217 30 1 32 0 32 338 8 25 1 0}"},
+		{compiler.O0, 2, "segregated", "{3764 521 96 3 241 6 1 8 0 8 341 5 25 1 0}"},
+		{compiler.O0, 2, "tlsf", "{3764 521 96 3 241 6 1 8 0 8 341 5 25 1 0}"},
+		{compiler.O0, 2, "diehard", "{8649 521 96 3 218 29 1 31 0 31 320 26 25 1 0}"},
+		{compiler.O0, 2, "shuffle", "{8109 521 96 3 218 29 1 31 0 31 338 8 25 1 0}"},
+		{compiler.O0, 3, "segregated", "{3764 521 96 3 241 6 1 8 0 8 341 5 25 1 0}"},
+		{compiler.O0, 3, "tlsf", "{3764 521 96 3 241 6 1 8 0 8 341 5 25 1 0}"},
+		{compiler.O0, 3, "diehard", "{8709 521 96 3 218 29 1 31 0 31 318 28 25 1 0}"},
+		{compiler.O0, 3, "shuffle", "{7924 521 96 3 219 28 1 30 0 30 338 8 25 1 0}"},
+		{compiler.O2, 1, "segregated", "{3926 498 97 3 240 7 1 9 0 9 342 5 25 1 0}"},
+		{compiler.O2, 1, "tlsf", "{3926 498 97 3 240 7 1 9 0 9 342 5 25 1 0}"},
+		{compiler.O2, 1, "diehard", "{8871 498 97 3 217 30 1 32 0 32 319 28 25 1 0}"},
+		{compiler.O2, 1, "shuffle", "{8271 498 97 3 217 30 1 32 0 32 339 8 25 1 0}"},
+		{compiler.O2, 2, "segregated", "{3741 498 97 3 241 6 1 8 0 8 342 5 25 1 0}"},
+		{compiler.O2, 2, "tlsf", "{3741 498 97 3 241 6 1 8 0 8 342 5 25 1 0}"},
+		{compiler.O2, 2, "diehard", "{8626 498 97 3 218 29 1 31 0 31 321 26 25 1 0}"},
+		{compiler.O2, 2, "shuffle", "{8086 498 97 3 218 29 1 31 0 31 339 8 25 1 0}"},
+		{compiler.O2, 3, "segregated", "{3741 498 97 3 241 6 1 8 0 8 342 5 25 1 0}"},
+		{compiler.O2, 3, "tlsf", "{3741 498 97 3 241 6 1 8 0 8 342 5 25 1 0}"},
+		{compiler.O2, 3, "diehard", "{8686 498 97 3 218 29 1 31 0 31 319 28 25 1 0}"},
+		{compiler.O2, 3, "shuffle", "{7901 498 97 3 219 28 1 30 0 30 339 8 25 1 0}"},
+	}
+	type fields machine.Counters // prints without Counters.String
+	opts := Options{}
+	opts.defaults()
+	v := &verifier{name: "churn", mods: map[compiler.OptLevel]*ir.Module{}, opts: opts}
+	for _, lv := range []compiler.OptLevel{compiler.O0, compiler.O2} {
+		m, err := compiler.Compile(churnFixture(), compiler.Options{Level: lv, Stabilize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.mods[lv] = m
+	}
+	for _, w := range want {
+		cell := Cell{Program: "churn", Seed: w.seed, Level: w.level, Allocator: w.alloc, Engine: interp.EngineCompiled}
+		run, err := v.cellRun(cell)
+		if err != nil {
+			t.Fatalf("%v: %v", cell, err)
+		}
+		_, err = interp.Run(v.mods[w.level], interp.Options{
+			Machine: run.Machine, Runtime: run.Runtime, MaxSteps: opts.MaxSteps, Engine: cell.Engine,
+		})
+		got := fmt.Sprint(fields(run.Machine.Snapshot()))
+		run.Release()
+		if err != nil {
+			t.Fatalf("%v: %v", cell, err)
+		}
+		if got != w.c {
+			t.Errorf("%v: counters moved:\n got  %s\n want %s", cell, got, w.c)
+		}
 	}
 }
 
@@ -147,7 +218,7 @@ func TestVerifyCompiledMissingLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	mods := map[compiler.OptLevel]*ir.Module{compiler.O0: m}
-	if _, err := VerifyCompiled("churn", mods, Options{}); err == nil {
+	if _, err := verifyCompiled("churn", mods, Options{}); err == nil {
 		t.Fatal("missing level not reported")
 	}
 }

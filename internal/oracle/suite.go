@@ -1,4 +1,4 @@
-package experiment
+package oracle
 
 import (
 	"context"
@@ -8,17 +8,19 @@ import (
 	"sync"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/ir"
-	"repro/internal/oracle"
 	"repro/internal/spec"
 )
 
-// VerifyOptions configures a semantic-invariance pre-flight over a set of
+// VerifyOptions configures a semantic-invariance sweep over a set of
 // benchmarks.
 type VerifyOptions struct {
-	// Oracle is passed through to each program's verification matrix
-	// (zero value = oracle defaults: 3 seeds x O0-O3 x 4 allocators).
-	Oracle oracle.Options
+	// Matrix is passed through to each program's verification matrix
+	// (zero value = the defaults: 3 seeds x O0-O3 x every allocator in
+	// AllocatorNames).
+	Matrix Options
 	// Scale is the benchmark scale factor (default 1.0).
 	Scale float64
 	// Workers sizes the pool (0 = GOMAXPROCS).
@@ -28,9 +30,9 @@ type VerifyOptions struct {
 // VerifyFinding is one program's verification outcome.
 type VerifyFinding struct {
 	Program string
-	Result  *oracle.Result
+	Result  *Result
 	// Divergence is non-nil when the program failed semantic invariance.
-	Divergence *oracle.Divergence
+	Divergence *Divergence
 	// Err is non-nil for infrastructure failures (compile error, step
 	// budget, stack overflow).
 	Err error
@@ -75,41 +77,43 @@ func (r *VerifyReport) String() string {
 	return sb.String()
 }
 
-// VerifySemantics runs the semantic-invariance oracle over every benchmark,
-// one pool worker per program, reusing the engine's compile cache (each
+// VerifySemantics runs the matrix over every benchmark, one experiment
+// pool worker per program, on the experiment engine's compile cache (each
 // level's module is compiled at most once per process, shared with any
-// later experiment runs at the same level). It is the implementation of the
-// experiment driver's -verify-semantics pre-flight and the stabilizer
+// later experiment runs at the same level). It is the implementation of
+// the experiment driver's -verify-semantics pre-flight and the stabilizer
 // verify subcommand.
 func VerifySemantics(ctx context.Context, benches []spec.Benchmark, opts VerifyOptions) (*VerifyReport, error) {
-	endSpan := obsTrace().Span("verify", "semantic-invariance", map[string]any{"programs": len(benches)})
-	defer endSpan()
+	if s := experiment.Obs(); s != nil {
+		defer s.Trace.Span("verify", "semantic-invariance", map[string]any{"programs": len(benches)})()
+	}
 	if opts.Scale == 0 {
 		opts.Scale = 1.0
 	}
-	oopts := opts.Oracle
-	if len(oopts.Levels) == 0 {
-		oopts.Levels = compiler.Levels()
+	mopts := opts.Matrix
+	if len(mopts.Levels) == 0 {
+		mopts.Levels = compiler.Levels()
 	}
 
 	rep := &VerifyReport{Findings: make([]VerifyFinding, len(benches))}
 	var mu sync.Mutex
-	pool := NewPool(opts.Workers)
+	pool := experiment.NewPool(opts.Workers)
 	err := pool.ForEachLabeled(ctx, "verify", len(benches), func(ctx context.Context, i int) error {
 		b := benches[i]
 		f := VerifyFinding{Program: b.Name}
-		mods := make(map[compiler.OptLevel]*ir.Module, len(oopts.Levels))
-		for _, lv := range oopts.Levels {
-			m, err := compileCached(b, opts.Scale, compiler.Options{Level: lv, Stabilize: true})
+		mods := make(map[compiler.OptLevel]*ir.Module, len(mopts.Levels))
+		for _, lv := range mopts.Levels {
+			// Any Stabilizer selects the Stabilize-compiled module.
+			c, err := experiment.CompileBench(b, experiment.Config{Scale: opts.Scale, Level: lv, Stabilizer: &core.Options{}})
 			if err != nil {
 				f.Err = fmt.Errorf("compiling at %s: %w", lv, err)
 				break
 			}
-			mods[lv] = m
+			mods[lv] = c.Module
 		}
 		if f.Err == nil {
-			res, err := oracle.VerifyCompiled(b.Name, mods, oopts)
-			var div *oracle.Divergence
+			res, err := verifyCompiled(b.Name, mods, mopts)
+			var div *Divergence
 			switch {
 			case err == nil:
 				f.Result = res

@@ -1,4 +1,4 @@
-package experiment
+package oracle
 
 import (
 	"context"
@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/experiment"
 	"repro/internal/ir"
-	"repro/internal/oracle"
 	"repro/internal/spec"
 )
 
@@ -21,10 +21,10 @@ func verifyBench(name string, seed uint64) spec.Benchmark {
 }
 
 func TestVerifySemantics(t *testing.T) {
-	ResetCompileCache()
+	experiment.ResetCompileCache()
 	benches := []spec.Benchmark{verifyBench("va", 41), verifyBench("vb", 97)}
 	opts := VerifyOptions{
-		Oracle: oracle.Options{Seeds: []uint64{1, 2}, Levels: []compiler.OptLevel{compiler.O0, compiler.O2}},
+		Matrix: Options{Seeds: []uint64{1, 2}, Levels: []compiler.OptLevel{compiler.O0, compiler.O2}},
 	}
 	rep, err := VerifySemantics(context.Background(), benches, opts)
 	if err != nil {
@@ -33,8 +33,8 @@ func TestVerifySemantics(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("clean programs failed verification:\n%s", rep)
 	}
-	// 2 programs x 2 seeds x 2 levels x 4 allocators x 2 engines.
-	if want := 2 * 2 * 2 * 4 * 2; rep.Cells != want {
+	// 2 programs x 2 seeds x 2 levels x 5 allocators x 2 engines.
+	if want := 2 * 2 * 2 * 5 * 2; rep.Cells != want {
 		t.Fatalf("ran %d cells, want %d", rep.Cells, want)
 	}
 	if len(rep.Findings) != 2 || rep.Findings[0].Program != "va" || rep.Findings[1].Program != "vb" {
@@ -47,7 +47,7 @@ func TestVerifySemantics(t *testing.T) {
 
 	// The verify sweep populates the engine's shared compile cache: the
 	// same (bench, scale, level, stabilize) key must not recompile.
-	hits, misses := CompileCacheStats()
+	hits, misses := experiment.CompileCacheStats()
 	if misses != 4 { // 2 programs x 2 levels
 		t.Fatalf("compile cache misses = %d, want 4 (hits %d)", misses, hits)
 	}
@@ -57,10 +57,10 @@ func TestVerifySemanticsExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full example programs in -short mode")
 	}
-	ResetCompileCache()
+	experiment.ResetCompileCache()
 	rep, err := VerifySemantics(context.Background(), spec.Examples(), VerifyOptions{
 		Scale: 0.05,
-		Oracle: oracle.Options{
+		Matrix: Options{
 			Seeds:  []uint64{1, 2},
 			Levels: []compiler.OptLevel{compiler.O0, compiler.O1},
 		},
@@ -81,7 +81,7 @@ func TestVerifySemanticsReportsCompileError(t *testing.T) {
 		},
 	}
 	rep, err := VerifySemantics(context.Background(), []spec.Benchmark{bad}, VerifyOptions{
-		Oracle: oracle.Options{Seeds: []uint64{1}, Levels: []compiler.OptLevel{compiler.O0}},
+		Matrix: Options{Seeds: []uint64{1}, Levels: []compiler.OptLevel{compiler.O0}},
 	})
 	if err != nil {
 		t.Fatal(err)
