@@ -10,7 +10,7 @@
 //	szfarm serve    -store dir [-addr :8713] [-identity name] [-coord-ttl 15s]
 //	                [-lease-ttl 30s] [-max-attempts 3] [-max-pending n]
 //	                [-tenant-weights t=w,...] [-tenant-max-inflight n]
-//	                [-tenant-max-pending n] [-event-cap n]
+//	                [-tenant-max-pending n]
 //	szfarm work     -server url[,url...] [-name id] [-j n] [-poll d] [-idle-exit]
 //	                [-metrics-addr :9713]
 //	szfarm submit   -server url[,url...] [-runs n] [-scale f] [-seed n]
@@ -18,9 +18,9 @@
 //	                [-bench name[,name...]] [-cxx]
 //	                [-commit sha] [-tenant name] [-wait [-o artifact.json]]
 //	szfarm status   -server url[,url...] [-id cNNNN] [-json]
-//	szfarm events   -server url -id cNNNN [-follow]
+//	szfarm events   -server url[,url...] -id cNNNN [-follow]
 //	szfarm artifact -server url -id cNNNN [-o artifact.json] [-provenance]
-//	szfarm timeline (-server url | -store dir) -id cNNNN [-o trace.json]
+//	szfarm timeline (-server url[,url...] | -store dir) -id cNNNN [-o trace.json]
 //	szfarm gc       -store dir [-dry-run] [-force] [-json]
 //
 // Observability: every coordinator (active or standby) serves Prometheus
@@ -45,7 +45,9 @@
 // The coordinator journals every campaign transition to an append-only log
 // under <store>/campaigns/: a crashed (even kill -9'd) coordinator
 // restarted against the same -store replays it and resumes its open
-// campaigns with no lost or double-counted cells. Two serve processes may share one -store for high availability:
+// campaigns with no lost or double-counted cells. `szfarm events` reads
+// that log by byte cursor, so a follower resumes across a restart or a
+// failover. Two serve processes may share one -store for high availability:
 // they race for the store's coordination lease, exactly one is active at a
 // time, and a killed active is replaced by its standby within ~2× the
 // -coord-ttl — clients and workers given the comma-separated server list
@@ -129,7 +131,7 @@ func usage() {
   szfarm work      run a worker against a coordinator
   szfarm submit    submit a campaign; -wait fetches the merged artifact
   szfarm status    show campaign progress
-  szfarm events    print a campaign's JSONL event log
+  szfarm events    print a campaign's JSONL event journal
   szfarm artifact  fetch a completed campaign's merged artifact
   szfarm timeline  reconstruct a campaign's execution timeline (Chrome trace)
   szfarm gc        evict stale blocks from a result store
@@ -176,7 +178,6 @@ func cmdServe(args []string) error {
 	tenantWeights := fs.String("tenant-weights", "", "weighted-round-robin tenant shares, e.g. ci=5,default=1")
 	tenantMaxInflight := fs.Int("tenant-max-inflight", 0, "max leased cells per tenant (0 = unlimited)")
 	tenantMaxPending := fs.Int("tenant-max-pending", 0, "open-cell bound per tenant before that tenant's submissions shed with 429 (0 = unlimited)")
-	eventCap := fs.Int("event-cap", 0, "per-campaign event ring size in lines (0 = default 4096)")
 	fs.Parse(args)
 	if *storeDir == "" {
 		return fmt.Errorf("serve needs -store")
@@ -204,7 +205,7 @@ func cmdServe(args []string) error {
 	ha, err := campaign.NewHAServer(campaign.HAOptions{
 		Coordinator: campaign.CoordinatorOptions{
 			Store: st, LeaseTTL: *leaseTTL, MaxAttempts: *maxAttempts,
-			MaxPendingCells: *maxPending, EventLogCap: *eventCap, Obs: scope,
+			MaxPendingCells: *maxPending, Obs: scope,
 			TenantWeights:        weights,
 			MaxInflightPerTenant: *tenantMaxInflight,
 			MaxPendingPerTenant:  *tenantMaxPending,
@@ -517,9 +518,9 @@ func statusJSON(ctx context.Context, client *campaign.Client, id string) error {
 
 func cmdEvents(args []string) error {
 	fs := flag.NewFlagSet("szfarm events", flag.ExitOnError)
-	server := fs.String("server", "", "coordinator base URL (required)")
+	server := fs.String("server", "", "coordinator base URL(s), comma-separated for failover (required)")
 	id := fs.String("id", "", "campaign id (required)")
-	follow := fs.Bool("follow", false, "stream until the campaign is terminal")
+	follow := fs.Bool("follow", false, "poll until the campaign is terminal")
 	fs.Parse(args)
 	if *server == "" || *id == "" {
 		return fmt.Errorf("events needs -server and -id")
@@ -565,16 +566,16 @@ func cmdArtifact(args []string) error {
 	return nil
 }
 
-// cmdTimeline reconstructs a campaign's execution timeline. With -store it
-// reads the complete durable event journal (<store>/campaigns/<id>.events.jsonl
-// — every line across restarts and failovers); with -server it reads the
-// coordinator's in-memory event ring, which only retains the most recent
-// -event-cap lines. The trace is validated before it is written, so a file
-// that lands on disk is guaranteed to load in Perfetto/chrome://tracing.
+// cmdTimeline reconstructs a campaign's execution timeline from its durable
+// event journal (<store>/campaigns/<id>.events.jsonl — every line across
+// restarts and failovers), read from the -store directory itself or as a
+// coordinator on it serves the journal; both read the same bytes. The
+// trace is validated before it is written, so a file that lands on disk is
+// guaranteed to load in Perfetto/chrome://tracing.
 func cmdTimeline(args []string) error {
 	fs := flag.NewFlagSet("szfarm timeline", flag.ExitOnError)
-	server := fs.String("server", "", "coordinator base URL (reads the in-memory event ring)")
-	storeDir := fs.String("store", "", "store directory (reads the complete durable journal)")
+	server := fs.String("server", "", "coordinator base URL(s), comma-separated (reads the journal it serves)")
+	storeDir := fs.String("store", "", "store directory (reads the journal on disk)")
 	id := fs.String("id", "", "campaign id (required)")
 	out := fs.String("o", "", "write the Chrome trace JSON here (- for stdout)")
 	report := fs.Bool("report", true, "print the critical-path/straggler report")
@@ -594,7 +595,7 @@ func cmdTimeline(args []string) error {
 		if serr != nil {
 			return serr
 		}
-		if journal, err = area.LoadLog(*id + ".events"); err != nil {
+		if journal, err = area.LoadLog(*id+".events", 0); err != nil {
 			return err
 		}
 		if journal == nil {

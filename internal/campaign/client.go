@@ -305,21 +305,50 @@ func (c *Client) exchange(ctx context.Context, method, path string, in, out any,
 		return fmt.Errorf("campaign: %s %s: injected torn response", method, path)
 	}
 	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		se := &StatusError{Code: resp.StatusCode, Message: msg}
-		se.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-		return se
+		return statusError(resp)
 	}
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// statusError reads a non-2xx reply into a *StatusError carrying the
+// server's error message and Retry-After hint.
+func statusError(resp *http.Response) *StatusError {
+	var e struct {
+		Error string `json:"error"`
+	}
+	msg := resp.Status
+	if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return &StatusError{Code: resp.StatusCode, Message: msg,
+		RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
+}
+
+// getRaw fetches path's body as served, with its response headers, under
+// the retry and failover policy of every other exchange.
+func (c *Client) getRaw(ctx context.Context, path string) (buf []byte, header http.Header, err error) {
+	err = c.retry(ctx, func() error {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+path, nil)
+		if err != nil {
+			return err
+		}
+		resp, err := c.http().Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		c.observe(resp)
+		if resp.StatusCode/100 != 2 {
+			return statusError(resp)
+		}
+		header = resp.Header
+		buf, err = io.ReadAll(resp.Body)
+		return err
+	})
+	return buf, header, err
 }
 
 // retryAfterCap bounds how long a server-directed Retry-After may stall a
@@ -390,137 +419,43 @@ func (c *Client) StatusAll(ctx context.Context) ([]Status, error) {
 
 // Artifact fetches a completed campaign's merged artifact bytes.
 func (c *Client) Artifact(ctx context.Context, id string) ([]byte, error) {
-	return c.artifact(ctx, id, "")
+	buf, _, err := c.getRaw(ctx, "/v1/campaigns/"+id+"/artifact")
+	return buf, err
 }
 
 // ArtifactProvenance fetches the artifact with per-cell provenance blocks
 // attached (worker, coordinator, attempts, timings). The provenance is
 // non-golden decoration: stripping it recovers the plain artifact bytes.
 func (c *Client) ArtifactProvenance(ctx context.Context, id string) ([]byte, error) {
-	return c.artifact(ctx, id, "?provenance=1")
-}
-
-// artifact fetches the artifact bytes as served, with the retry and
-// failover policy of every other exchange.
-func (c *Client) artifact(ctx context.Context, id, query string) (buf []byte, err error) {
-	err = c.retry(ctx, func() error {
-		buf, err = c.artifactOnce(ctx, id, query)
-		return err
-	})
+	buf, _, err := c.getRaw(ctx, "/v1/campaigns/"+id+"/artifact?provenance=1")
 	return buf, err
 }
 
-func (c *Client) artifactOnce(ctx context.Context, id, query string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+"/v1/campaigns/"+id+"/artifact"+query, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	c.observe(resp)
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.Unmarshal(buf, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return nil, &StatusError{Code: resp.StatusCode, Message: msg}
-	}
-	return buf, nil
-}
-
-// Events fetches a campaign's JSONL event log. Without follow it is one
-// page: whatever the coordinator's event ring currently holds. With follow
-// it polls the ring by cursor until the campaign is terminal, writing new
-// lines to w as they arrive; the cursor survives a coordinator failover
-// (the promoted standby's ring restarts, and the cursor headers report the
-// jump as a drop). When the ring wrapped past the cursor, a comment line
-//
-//	# gap=N events dropped (ring wrapped; raise -event-cap)
-//
-// marks the hole, so a consumer knows the stream is incomplete rather than
-// silently missing lines. The durable per-campaign journal (szfarm
-// timeline) has no such gaps.
+// Events writes a campaign's JSONL event journal to w. Without follow it
+// is one page: every line journaled so far. With follow it polls from the
+// byte cursor the last page ended at until the campaign is terminal. Every
+// coordinator on the store serves the same journal, and each page goes
+// through the retry and failover policy of every other exchange, so the
+// cursor carries across a coordinator restart or failover with no line
+// lost or repeated.
 func (c *Client) Events(ctx context.Context, id string, follow bool, w io.Writer) error {
-	page, err := c.eventsPage(ctx, id, 0)
-	if err != nil {
-		return err
-	}
-	if follow && page.dropped > 0 {
-		fmt.Fprintf(w, "# gap=%d events dropped (ring wrapped; raise -event-cap)\n", page.dropped)
-	}
-	if _, err := w.Write(page.buf); err != nil {
-		return err
-	}
-	if !follow {
-		return nil
-	}
-	for !page.terminal {
-		if err := sleepCtx(ctx, 500*time.Millisecond); err != nil {
-			return err
-		}
-		next, err := c.eventsPage(ctx, id, page.next)
+	var next int64
+	for {
+		buf, header, err := c.getRaw(ctx, "/v1/campaigns/"+id+"/events?since="+strconv.FormatInt(next, 10))
 		if err != nil {
 			return err
 		}
-		if next.dropped > 0 {
-			fmt.Fprintf(w, "# gap=%d events dropped (ring wrapped; raise -event-cap)\n", next.dropped)
-		}
-		if _, err := w.Write(next.buf); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
-		page = next
+		if !follow || header.Get(HeaderEventsTerminal) == "1" {
+			return nil
+		}
+		next += int64(len(buf)) // the page's X-Sz-Events-Next
+		if err := sleepCtx(ctx, 500*time.Millisecond); err != nil {
+			return err
+		}
 	}
-	return nil
-}
-
-// eventsResult is one page of a campaign's event ring plus its cursor
-// metadata, decoded from the X-Sz-Events-* headers.
-type eventsResult struct {
-	buf      []byte
-	next     int
-	dropped  int
-	terminal bool
-}
-
-// eventsPage fetches the event lines at or after cursor from (0 = oldest
-// retained).
-func (c *Client) eventsPage(ctx context.Context, id string, from int) (eventsResult, error) {
-	var page eventsResult
-	url := c.base() + "/v1/campaigns/" + id + "/events"
-	if from > 0 {
-		url += "?since=" + strconv.Itoa(from)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return page, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return page, err
-	}
-	defer resp.Body.Close()
-	c.observe(resp)
-	if resp.StatusCode/100 != 2 {
-		return page, &StatusError{Code: resp.StatusCode, Message: resp.Status}
-	}
-	page.buf, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return page, err
-	}
-	page.next, _ = strconv.Atoi(resp.Header.Get(HeaderEventsNext))
-	page.dropped, _ = strconv.Atoi(resp.Header.Get(HeaderEventsDropped))
-	page.terminal = resp.Header.Get(HeaderEventsTerminal) == "1"
-	return page, nil
 }
 
 // Acquire requests a lease.

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -135,5 +136,35 @@ func TestClientArtifactFailsOver(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusConflict {
 		t.Fatalf("artifact with the first server down: %v, want the live coordinator's 409", err)
+	}
+}
+
+// TestClientEventsFailsOver: with a standby listed first, an events read
+// takes the standby's 503, reprobes the list and reads the journal from
+// the active coordinator, as the JSON exchanges do
+// (TestClientFailsOverToActiveCoordinator).
+func TestClientEventsFailsOver(t *testing.T) {
+	coord, st, active := newFarm(t, CoordinatorOptions{Obs: obs.NewScope()})
+	id, _, _, err := coord.Submit(testSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	standby, err := NewHAServer(HAOptions{
+		Coordinator: CoordinatorOptions{Store: st}, Identity: "standby", Poll: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("standby: %v", err)
+	}
+	ts := httptest.NewServer(standby)
+	defer ts.Close()
+	client := NewClient(ts.URL + "," + active.Server)
+	client.RetryBase = time.Millisecond
+	var buf bytes.Buffer
+	if err := client.Events(context.Background(), id, false, &buf); err != nil {
+		t.Fatalf("events with the standby listed first: %v", err)
+	}
+	journal, _, err := coord.events(id, 0)
+	if err != nil || len(journal) == 0 || !bytes.Equal(buf.Bytes(), journal) {
+		t.Fatalf("events read through failover:\n%s\nwant the journal (%v):\n%s", buf.Bytes(), err, journal)
 	}
 }

@@ -51,11 +51,6 @@ type CoordinatorOptions struct {
 	// growing the queue without limit. Default 10000; negative disables
 	// the bound.
 	MaxPendingCells int
-	// EventLogCap bounds each campaign's in-memory event log: a ring of
-	// the most recent lines with a monotonic cursor, so multi-day
-	// campaigns cannot grow coordinator memory without limit. Default
-	// 4096 lines; the minimum is 16.
-	EventLogCap int
 	// Identity names this coordinator process in /v1/coordinator reports
 	// and the X-SZ-Coordinator response header (default "local"). In an HA
 	// pair each process gets a distinct identity so chaos-test logs can
@@ -105,12 +100,6 @@ func (o *CoordinatorOptions) defaults() error {
 	if o.MaxPendingCells == 0 {
 		o.MaxPendingCells = 10000
 	}
-	if o.EventLogCap <= 0 {
-		o.EventLogCap = 4096
-	}
-	if o.EventLogCap < 16 {
-		o.EventLogCap = 16
-	}
 	if o.Identity == "" {
 		o.Identity = "local"
 	}
@@ -153,9 +142,7 @@ type campaignState struct {
 	// campaigns restored from pre-trace journals).
 	submitted time.Time
 
-	// events is the campaign's bounded JSONL event log (obs wire format);
 	// artifact caches the merged artifact bytes once assembled.
-	events   *eventRing
 	artifact []byte
 
 	// The journal (persist.go): batch queues the event lines of the
@@ -173,49 +160,6 @@ type pendingEvent struct {
 	msg    string
 	fields []obs.Field
 	raw    []byte
-}
-
-// eventRing is a bounded event log with a monotonic cursor: the last cap
-// lines are retained, and every line ever appended has a stable sequence
-// number, so a follower that saw lines [0, n) asks for "since n" and keeps
-// working across wrap — it just skips the lines the ring dropped.
-type eventRing struct {
-	lines [][]byte
-	head  int // index of the oldest retained line
-	n     int // retained count
-	seq   int // total lines ever appended; retained are [seq-n, seq)
-}
-
-func newEventRing(capLines int) *eventRing {
-	return &eventRing{lines: make([][]byte, capLines)}
-}
-
-func (r *eventRing) append(line []byte) {
-	if r.n < len(r.lines) {
-		r.lines[(r.head+r.n)%len(r.lines)] = line
-		r.n++
-	} else {
-		r.lines[r.head] = line
-		r.head = (r.head + 1) % len(r.lines)
-	}
-	r.seq++
-}
-
-// since concatenates the retained lines with sequence >= from and returns
-// them with the next cursor. A from below the retention window starts at
-// the window and reports how many lines the wrap dropped — followers
-// surface that as a gap marker instead of silently missing events. A
-// from at or past seq returns nothing.
-func (r *eventRing) since(from int) (buf []byte, next, dropped int) {
-	start := r.seq - r.n
-	if from < start {
-		dropped = start - from
-		from = start
-	}
-	for i := from; i < r.seq; i++ {
-		buf = append(buf, r.lines[(r.head+(i-start))%len(r.lines)]...)
-	}
-	return buf, r.seq, dropped
 }
 
 type lease struct {
@@ -239,12 +183,10 @@ type lease struct {
 // single mutex — farm throughput is bounded by cell compute time, not
 // coordination.
 type Coordinator struct {
-	opts     CoordinatorOptions
-	area     *store.StateArea // campaign journals and snapshots (campaigns/ beside blocks/)
-	eventCap int
+	opts CoordinatorOptions
+	area *store.StateArea // campaign journals and snapshots (campaigns/ beside blocks/)
 
 	mu        sync.Mutex
-	cond      *sync.Cond // broadcast on any event append / state change
 	campaigns []*campaignState
 	byID      map[string]*campaignState
 	leases    map[uint64]*lease
@@ -281,14 +223,12 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		opts:       opts,
-		eventCap:   opts.EventLogCap,
 		byID:       map[string]*campaignState{},
 		leases:     map[uint64]*lease{},
 		idem:       map[string]string{},
 		wrrCredit:  map[string]int{},
 		workerSeen: map[string]time.Time{},
 	}
-	c.cond = sync.NewCond(&c.mu)
 	if opts.Obs != nil {
 		// Register the timing-dependent farm histograms/counters as
 		// non-golden up front so a snapshot taken before any activity
@@ -329,26 +269,13 @@ func (c *Coordinator) logger() *obs.Logger {
 // transition in progress on camp and mirrors it to the coordinator log.
 // The transition's commit (commitLocked, or flushLocked for submit and
 // restore) renders the queued lines with a wall-clock timestamp
-// (t_wall_ns_nongolden) so the timeline can order them, pushes them into
-// the ring — the bounded live-follow surface — and appends them to the
-// durable journal, which is what restore replays and `szfarm timeline`
-// reads across restarts, failovers, and ring wraps. Must be called with
-// c.mu held.
+// (t_wall_ns_nongolden) so the timeline can order them, and appends them
+// to the durable journal: what restore replays, what /events serves, and
+// what `szfarm timeline` reads, across restarts and failovers. Must be
+// called with c.mu held.
 func (c *Coordinator) eventLocked(camp *campaignState, msg string, fields ...obs.Field) {
 	camp.batch = append(camp.batch, pendingEvent{msg: msg, fields: fields})
 	c.logger().Info(msg, append([]obs.Field{obs.F("campaign", camp.id)}, fields...)...)
-}
-
-// lineBuffer collects logger lines and where each one ends.
-type lineBuffer struct {
-	buf  []byte
-	ends []int
-}
-
-func (b *lineBuffer) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	b.ends = append(b.ends, len(b.buf))
-	return len(p), nil
 }
 
 // OverloadError sheds a submission the coordinator cannot queue without
@@ -420,8 +347,7 @@ func (c *Coordinator) Submit(spec Spec) (id string, cells, hits int, err error) 
 	if err := c.fenceErr(); err != nil {
 		return "", 0, 0, err
 	}
-	camp := &campaignState{spec: spec, tenant: tenantOf(spec), state: StateRunning,
-		events: newEventRing(c.eventCap), trace: obs.NewTraceID()}
+	camp := &campaignState{spec: spec, tenant: tenantOf(spec), state: StateRunning, trace: obs.NewTraceID()}
 	for _, cs := range spec.Cells() {
 		st := &cellState{CellSpec: cs, state: cellPending}
 		// The probe uses Get, not a cheaper existence check, so a corrupt
@@ -991,34 +917,29 @@ func (c *Coordinator) Artifact(ctx context.Context, id string) ([]byte, error) {
 	return buf, nil
 }
 
-// Events returns the campaign's event log as JSONL bytes from monotonic
-// cursor `from`, with the next cursor, how many lines a ring wrap dropped
-// before the window, and whether the campaign is terminal. The cursor
-// counts lines ever appended, not lines retained: a follower whose cursor
-// fell behind a ring wrap resumes at the oldest retained line and learns
-// the size of the gap (the durable event journal still has the dropped
-// lines — the ring is the bounded live surface). Used by the streaming
-// handler; also convenient for tests.
-func (c *Coordinator) events(id string, from int) (buf []byte, next, dropped int, terminal, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	camp, ok := c.byID[id]
-	if !ok {
-		return nil, 0, 0, true, false
-	}
-	buf, next, dropped = camp.events.since(from)
-	return buf, next, dropped, camp.state != StateRunning, true
-}
+// errUnknownCampaign marks a lookup of a campaign this coordinator does
+// not hold.
+var errUnknownCampaign = errors.New("campaign: unknown campaign")
 
-// EventJournal reads a campaign's durable event log from the store —
-// every line ever emitted, across restarts and failovers, torn tail
-// dropped. This is the timeline's preferred source; the in-memory ring
-// only retains the most recent EventLogCap lines.
-func (c *Coordinator) EventJournal(id string) ([]byte, error) {
-	if c.area == nil {
-		return nil, fmt.Errorf("campaign: no durable state area")
+// events reads a campaign's journal, <store>/campaigns/<id>.events.jsonl,
+// from byte offset from: every whole line appended since, across restarts
+// and failovers, so every coordinator on the store serves the same bytes
+// for the same offset. An offset that is neither 0 nor the end of a line
+// is an error wrapping store.ErrLogCursor. terminal reports whether the
+// campaign had ended before the read began, and so whether buf reaches
+// its last transition.
+func (c *Coordinator) events(id string, from int64) (buf []byte, terminal bool, err error) {
+	c.mu.Lock()
+	camp, ok := c.byID[id]
+	if ok {
+		terminal = camp.state != StateRunning
 	}
-	return c.area.LoadLog(id + ".events")
+	c.mu.Unlock()
+	if !ok {
+		return nil, false, fmt.Errorf("%w %q", errUnknownCampaign, id)
+	}
+	buf, err = c.area.LoadLog(id+".events", from)
+	return buf, terminal, err
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -1027,8 +948,9 @@ func (c *Coordinator) EventJournal(id string) ([]byte, error) {
 //	GET  /v1/campaigns                all campaign statuses
 //	GET  /v1/campaigns/{id}           one campaign's status (with cell detail)
 //	GET  /v1/campaigns/{id}/artifact  merged artifact (campaign must be done)
-//	GET  /v1/campaigns/{id}/events    JSONL event stream; ?follow=1 streams
-//	                                  until the campaign is terminal
+//	GET  /v1/campaigns/{id}/events    the campaign's JSONL journal from byte
+//	                                  cursor ?since=N (default 0), with the
+//	                                  X-Sz-Events-* cursor headers
 //	POST /v1/leases                   {worker} -> AcquireResponse
 //	POST /v1/leases/{id}/heartbeat    extend the lease
 //	POST /v1/leases/{id}/complete     CompleteRequest
@@ -1346,89 +1268,48 @@ func (c *Coordinator) Info() CoordinatorInfo {
 	return info
 }
 
-// Event-cursor response headers. A one-shot page (?since=N) answers with
-// the next cursor to poll from, how many lines a ring wrap dropped before
-// the window (the client renders that as a gap marker), and whether the
-// campaign is terminal — together they make a poll loop that follows a
-// campaign to completion without holding a connection open.
+// Event-cursor response headers: the byte cursor to poll from next (the
+// request's cursor plus the body's length), and whether the campaign is
+// terminal — together they make a poll loop that follows a campaign to
+// completion without holding a connection open.
 const (
 	HeaderEventsNext     = "X-Sz-Events-Next"
-	HeaderEventsDropped  = "X-Sz-Events-Dropped"
 	HeaderEventsTerminal = "X-Sz-Events-Terminal"
 )
 
-// handleEvents streams a campaign's JSONL event log. ?since=N starts the
-// page at cursor N; the response carries the cursor headers above. With
-// ?follow=1 the response stays open, flushing new lines as they appear,
-// until the campaign reaches a terminal state or the client goes away.
+// handleEvents serves a campaign's journal from byte cursor ?since=N with
+// the cursor headers above. A cursor that is not a line end of the journal
+// — negative, malformed, mid-line or past the end — is a 400.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	follow := r.URL.Query().Get("follow") == "1"
-	from := 0
+	var from int64
 	if s := r.URL.Query().Get("since"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad since cursor %q", s))
 			return
 		}
 		from = n
 	}
-	buf, next, dropped, terminal, ok := c.events(id, from)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown campaign %q", id))
+	buf, terminal, err := c.events(r.PathValue("id"), from)
+	switch {
+	case errors.Is(err, errUnknownCampaign):
+		httpError(w, http.StatusNotFound, err)
+		return
+	case errors.Is(err, store.ErrLogCursor):
+		httpError(w, http.StatusBadRequest, err)
+		return
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
-	w.Header().Set(HeaderEventsNext, strconv.Itoa(next))
-	w.Header().Set(HeaderEventsDropped, strconv.Itoa(dropped))
-	w.Header().Set(HeaderEventsTerminal, boolHeader(terminal))
-	flusher, _ := w.(http.Flusher)
-	for {
-		if len(buf) > 0 {
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		from = next
-		if !follow || terminal {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-c.waitEvents(from):
-		}
-		buf, next, _, terminal, ok = c.events(id, from)
-		if !ok {
-			return
-		}
+	w.Header().Set(HeaderEventsNext, strconv.FormatInt(from+int64(len(buf)), 10))
+	terminalHeader := "0"
+	if terminal {
+		terminalHeader = "1"
 	}
-}
-
-func boolHeader(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
-}
-
-// waitEvents returns a channel that closes when the event log may have
-// grown past n lines (or on a coarse timeout so lazy lease expiry still
-// advances while a follower is attached).
-func (c *Coordinator) waitEvents(n int) <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		defer close(ch)
-		timeout := time.AfterFunc(time.Second, func() { c.cond.Broadcast() })
-		defer timeout.Stop()
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.cond.Wait()
-	}()
-	return ch
+	w.Header().Set(HeaderEventsTerminal, terminalHeader)
+	w.Write(buf)
 }
 
 // SubmitResponse answers a campaign submission.

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -307,56 +305,6 @@ func TestSubmitOverloadSheds(t *testing.T) {
 	var over *OverloadError
 	if !errors.As(err, &over) || over.Limit != 1 {
 		t.Fatalf("error = %v, want *OverloadError with limit 1", err)
-	}
-}
-
-// TestEventRing pins the ring's cursor semantics: cursors are monotonic
-// line ordinals, a reader behind a wrap resumes at the oldest retained
-// line (and learns how many lines it lost), and a caught-up reader gets
-// nothing.
-func TestEventRing(t *testing.T) {
-	r := newEventRing(4)
-	for i := 0; i < 10; i++ {
-		r.append([]byte(fmt.Sprintf("l%d\n", i)))
-	}
-	buf, next, dropped := r.since(0) // cursor far behind the wrap
-	if string(buf) != "l6\nl7\nl8\nl9\n" || next != 10 || dropped != 6 {
-		t.Fatalf("since(0) = (%q, %d, %d), want last 4 lines, cursor 10, 6 dropped", buf, next, dropped)
-	}
-	if buf, next, dropped := r.since(8); string(buf) != "l8\nl9\n" || next != 10 || dropped != 0 {
-		t.Fatalf("since(8) = (%q, %d, %d)", buf, next, dropped)
-	}
-	if buf, next, dropped := r.since(10); len(buf) != 0 || next != 10 || dropped != 0 {
-		t.Fatalf("since(10) = (%q, %d, %d), want empty", buf, next, dropped)
-	}
-	r.append([]byte("l10\n"))
-	if buf, next, dropped := r.since(10); string(buf) != "l10\n" || next != 11 || dropped != 0 {
-		t.Fatalf("since(10) after append = (%q, %d, %d)", buf, next, dropped)
-	}
-}
-
-// TestEventsAcrossWrap runs a campaign under a minimum-size event ring: the
-// events endpooint must keep working (serving the retained tail) even after
-// the log wrapped.
-func TestEventsAcrossWrap(t *testing.T) {
-	_, _, client := newFarm(t, CoordinatorOptions{Obs: obs.NewScope(), EventLogCap: 16})
-	resp, err := client.Submit(context.Background(), testSpec())
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	runWorkers(t, client, 2)
-	var buf bytes.Buffer
-	if err := client.Events(context.Background(), resp.ID, false, &buf); err != nil {
-		t.Fatalf("events: %v", err)
-	}
-	log := strings.TrimSpace(buf.String())
-	lines := strings.Split(log, "\n")
-	if len(lines) == 0 || len(lines) > 16 {
-		t.Fatalf("got %d event lines, want 1..16 (ring bound)", len(lines))
-	}
-	// The newest lines survive a wrap; the terminal event is the newest.
-	if !strings.Contains(lines[len(lines)-1], `"msg":"campaign complete"`) {
-		t.Fatalf("last retained event is not the completion:\n%s", log)
 	}
 }
 

@@ -2,11 +2,16 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -429,7 +434,7 @@ func TestReplayJournalWriteCounts(t *testing.T) {
 	if got := m.Counter("campaign.journal.appends").Value(); got != transitions {
 		t.Fatalf("journal appends = %d, want %d (one per transition)", got, transitions)
 	}
-	journal, err := c.EventJournal(id)
+	journal, _, err := c.events(id, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +476,7 @@ func TestWorkerEventsCompactedAndNeverReplayed(t *testing.T) {
 	if got := r.c.metrics().Counter("campaign.events.rejected").Value(); got != 2 {
 		t.Fatalf("rejected worker lines = %d, want 2", got)
 	}
-	journal, err := r.c.EventJournal(r.ids[0])
+	journal, _, err := r.c.events(r.ids[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,14 +489,112 @@ func TestWorkerEventsCompactedAndNeverReplayed(t *testing.T) {
 	if tl, err := BuildTimeline(journal, r.ids[0]); err != nil || tl.Report.MalformedLines != 0 {
 		t.Fatalf("timeline: %v, %+v", err, tl.Report)
 	}
-	buf, _, _, _, _ := r.c.events(r.ids[0], 0)
-	if !bytes.Contains(buf, []byte(`{"msg":"x","n":[1,2]}`+"\n")) || bytes.Contains(buf, []byte("forged")) {
-		t.Fatalf("event ring differs from the journal:\n%s", buf)
-	}
 	live := coordState(r.c)
 	r.c = r.open()
 	if got := coordState(r.c); got != live || strings.Contains(got, "forged") {
 		t.Fatalf("restore after forwarded lines:\ngot  %s\nwant %s", got, live)
+	}
+}
+
+// eventsPage GETs one page of a campaign's events from the coordinator at
+// base, from cursor since.
+func eventsPage(t *testing.T, base, id, since string) (code int, body []byte, next string) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/campaigns/" + id + "/events?since=" + since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body, resp.Header.Get(HeaderEventsNext)
+}
+
+// TestEventsCursorAcrossRestart follows a campaign's events across a
+// coordinator restart: the first page comes from the first coordinator,
+// the rest from the restarted one, starting at the first page's cursor.
+// Joined, the pages are the journal on disk byte for byte, the restored
+// coordinator's "campaign restored" line included.
+func TestEventsCursorAcrossRestart(t *testing.T) {
+	r := newJournalRig(t, t.TempDir())
+	r.submit("astar", "bzip2")
+	l := r.grant("w1")
+	if err := r.complete(l.ID, "w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	first := httptest.NewServer(r.c.Handler())
+	code, page1, next := eventsPage(t, first.URL, r.ids[0], "0")
+	first.Close()
+	if code != http.StatusOK || len(page1) == 0 || next != strconv.Itoa(len(page1)) {
+		t.Fatalf("first page: status %d, %d bytes, next %q", code, len(page1), next)
+	}
+
+	r.c = r.open()
+	r.grant("w2")
+	second := httptest.NewServer(r.c.Handler())
+	defer second.Close()
+	code, page2, next2 := eventsPage(t, second.URL, r.ids[0], next)
+	if code != http.StatusOK || next2 != strconv.Itoa(len(page1)+len(page2)) {
+		t.Fatalf("page after the restart: status %d, %d bytes, next %q", code, len(page2), next2)
+	}
+	if !bytes.HasPrefix(page2, []byte(`{"level":"info","msg":"campaign restored from durable state"`)) {
+		t.Fatalf("page after the restart does not start at the restore:\n%s", page2)
+	}
+	journal := mustRead(t, filepath.Join(r.dir, "campaigns", r.ids[0]+".events.jsonl"))
+	if joined := append(page1, page2...); !bytes.Equal(joined, journal) {
+		t.Fatalf("pages across the restart differ from the journal:\npages\n%s\njournal\n%s", joined, journal)
+	}
+}
+
+// TestEventsFollowWhileRunning follows a campaign from its submission
+// while two workers drain it, so pages are read while the coordinator
+// appends to the journal: joined, they are a prefix of the journal that
+// reaches the campaign's completion.
+func TestEventsFollowWhileRunning(t *testing.T) {
+	_, st, client := newFarm(t, CoordinatorOptions{Obs: obs.NewScope()})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	resp, err := client.Submit(ctx, testSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	var followed bytes.Buffer
+	done := make(chan error, 1)
+	go func() { done <- client.Events(ctx, resp.ID, true, &followed) }()
+	runWorkers(t, client, 2)
+	if err := <-done; err != nil {
+		t.Fatalf("follow: %v", err)
+	}
+	journal := mustRead(t, filepath.Join(st.Dir(), "campaigns", resp.ID+".events.jsonl"))
+	if !bytes.HasPrefix(journal, followed.Bytes()) || !bytes.Contains(followed.Bytes(), []byte(`"msg":"campaign complete"`)) {
+		t.Fatalf("followed events are not a prefix of the journal through its completion:\nfollowed\n%s\njournal\n%s", followed.Bytes(), journal)
+	}
+}
+
+// TestEventsCursorBounds: a cursor at the journal's end reads no bytes and
+// stays put; a negative, malformed, mid-line or past-the-end cursor is a
+// 400, and an unknown campaign a 404.
+func TestEventsCursorBounds(t *testing.T) {
+	r := newJournalRig(t, t.TempDir())
+	r.submit("astar")
+	r.grant("w1")
+	ts := httptest.NewServer(r.c.Handler())
+	defer ts.Close()
+	journal := mustRead(t, filepath.Join(r.dir, "campaigns", r.ids[0]+".events.jsonl"))
+	end := strconv.Itoa(len(journal))
+	if code, body, next := eventsPage(t, ts.URL, r.ids[0], end); code != http.StatusOK || len(body) != 0 || next != end {
+		t.Fatalf("cursor at the end: status %d, %q, next %q; want 200, nothing, %s", code, body, next, end)
+	}
+	midLine := strconv.Itoa(bytes.IndexByte(journal, '\n') / 2)
+	for _, since := range []string{"-1", "x", midLine, strconv.Itoa(len(journal) + 1)} {
+		if code, body, _ := eventsPage(t, ts.URL, r.ids[0], since); code != http.StatusBadRequest {
+			t.Errorf("since=%s: status %d, want 400:\n%s", since, code, body)
+		}
+	}
+	if code, _, _ := eventsPage(t, ts.URL, "c0099", "0"); code != http.StatusNotFound {
+		t.Errorf("unknown campaign: status %d, want 404", code)
 	}
 }
 
@@ -530,6 +633,53 @@ func BenchmarkCoordinatorCell(b *testing.B) {
 		if err := c.Complete(grant.Lease.ID, CompleteRequest{Worker: "bench", Results: results}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCoordinatorRestore measures a coordinator restart on a fenced
+// on-disk store holding 40 or 120 finished campaigns of 18 one-run cells:
+// one op opens the store and builds a coordinator, which restores every
+// campaign from its snapshot and journal and journals its restore.
+func BenchmarkCoordinatorRestore(b *testing.B) {
+	for _, campaigns := range []int{40, 120} {
+		b.Run(fmt.Sprintf("campaigns=%d", campaigns), func(b *testing.B) {
+			dir := b.TempDir()
+			st, err := store.Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fence, _, err := st.Coordination().TryAcquire("bench", time.Hour, time.Now())
+			if err != nil || fence == nil {
+				b.Fatalf("coordination lease: %v %v", fence, err)
+			}
+			c, err := NewCoordinator(CoordinatorOptions{Store: st, Obs: obs.NewScope(), Fence: fence})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp := Spec{Benchmarks: SuiteNames(spec.Suite()), Config: testSpec().Config, Runs: 1}
+			for i := 0; i < campaigns; i++ {
+				sp.Seed++
+				if _, _, _, err := c.Submit(sp); err != nil {
+					b.Fatal(err)
+				}
+				for grant := c.Acquire("bench"); grant.Lease != nil; grant = c.Acquire("bench") {
+					if err := c.Complete(grant.Lease.ID, CompleteRequest{Worker: "bench", Results: fakeResults(1)}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := store.Open(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := NewCoordinator(CoordinatorOptions{Store: st, Obs: obs.NewScope(), Fence: fence}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -164,7 +163,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// The durable journal spans both incarnations and reconstructs into a
 	// valid trace whose lease grants all share the campaign's trace ID.
-	journal, err := coordB.EventJournal(id)
+	journal, _, err := coordB.events(id, 0)
 	if err != nil || len(journal) == 0 {
 		t.Fatalf("event journal: %v (len %d)", err, len(journal))
 	}
@@ -299,45 +298,5 @@ func TestStandbyServesMetrics(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "sz_ha_promotions") {
 		t.Fatalf("standby /metrics missing ha counters:\n%s", body)
-	}
-}
-
-// TestEventsFollowReportsRingGap pins the follow-mode gap marker: a
-// cursor that fell behind a wrapped ring sees an explicit comment line
-// instead of a silent hole.
-func TestEventsFollowReportsRingGap(t *testing.T) {
-	coord, _, client := newFarm(t, CoordinatorOptions{Obs: obs.NewScope(), EventLogCap: 16})
-	resp, err := client.Submit(context.Background(), testSpec())
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	runWorkers(t, client, 2)
-	// Wrap the ring past its 16-line cap so a from-zero follow starts
-	// behind the window.
-	coord.mu.Lock()
-	ring := coord.byID[resp.ID].events
-	for i := 0; ring.seq <= len(ring.lines); i++ {
-		ring.append([]byte(fmt.Sprintf(`{"msg":"filler %d"}`+"\n", i)))
-	}
-	dropped := ring.seq - ring.n
-	coord.mu.Unlock()
-	if dropped == 0 {
-		t.Fatalf("ring did not wrap")
-	}
-	var buf bytes.Buffer
-	if err := client.Events(context.Background(), resp.ID, true, &buf); err != nil {
-		t.Fatalf("follow: %v", err)
-	}
-	first, _, _ := strings.Cut(buf.String(), "\n")
-	if !strings.HasPrefix(first, "# gap=") || !strings.Contains(first, "ring wrapped") {
-		t.Fatalf("follow output does not lead with the gap marker:\n%s", buf.String())
-	}
-	// One-shot output stays pure JSONL: no marker.
-	var oneShot bytes.Buffer
-	if err := client.Events(context.Background(), resp.ID, false, &oneShot); err != nil {
-		t.Fatalf("one-shot: %v", err)
-	}
-	if strings.Contains(oneShot.String(), "# gap=") {
-		t.Fatalf("one-shot events output contains the follow-mode gap marker")
 	}
 }

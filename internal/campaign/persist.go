@@ -178,9 +178,6 @@ func (c *Coordinator) recordLocked(camp *campaignState) persistedCampaign {
 // a deposed writer must not clobber the successor's newer records. Must be
 // called with c.mu held.
 func (c *Coordinator) persistLocked(camp *campaignState) {
-	if c.area == nil {
-		return
-	}
 	camp.snapshotDue = true // until the write below lands
 	if err := faultinject.Hit(context.Background(), faultinject.SiteCoordPersist); err != nil {
 		c.metrics().Counter("campaign.persist.errors").NonGolden().Inc()
@@ -234,10 +231,10 @@ func (c *Coordinator) commitLocked(camp *campaignState, cell *cellState, l *leas
 }
 
 // flushLocked renders the lines queued by eventLocked and Complete's
-// worker lines, attaches rec (if any) to the last coordinator line, pushes
-// every line into the campaign's ring, and appends them all to the journal
-// in one write under one fence check. A failed append is counted and makes
-// the next transition write a snapshot. Must be called with c.mu held.
+// worker lines, attaches rec (if any) to the last coordinator line, and
+// appends them all to the journal in one write under one fence check. A
+// failed append is counted, its lines are never served, and the next
+// transition writes a snapshot. Must be called with c.mu held.
 func (c *Coordinator) flushLocked(camp *campaignState, rec *journalRecord) {
 	last := -1
 	for i, ev := range camp.batch {
@@ -245,7 +242,7 @@ func (c *Coordinator) flushLocked(camp *campaignState, rec *journalRecord) {
 			last = i
 		}
 	}
-	var out lineBuffer
+	var out bytes.Buffer
 	lg := obs.NewLogger(&out, obs.LevelInfo).WallClock().With(obs.F("campaign", camp.id))
 	for i, ev := range camp.batch {
 		switch {
@@ -259,16 +256,7 @@ func (c *Coordinator) flushLocked(camp *campaignState, rec *journalRecord) {
 	}
 	clear(camp.batch)
 	camp.batch = camp.batch[:0]
-	if len(out.ends) == 0 {
-		return
-	}
-	lines, start := out.buf, 0
-	for _, end := range out.ends {
-		camp.events.append(lines[start:end:end])
-		start = end
-	}
-	c.cond.Broadcast()
-	if c.area == nil {
+	if out.Len() == 0 {
 		return
 	}
 	err := faultinject.Hit(context.Background(), faultinject.SiteCoordPersist)
@@ -278,11 +266,11 @@ func (c *Coordinator) flushLocked(camp *campaignState, rec *journalRecord) {
 		}
 	}
 	if err == nil {
-		err = c.area.AppendLog(camp.id+".events", lines)
+		err = c.area.AppendLog(camp.id+".events", out.Bytes())
 	}
 	if err != nil {
 		camp.snapshotDue = true
-		c.metrics().Counter("campaign.events.unjournaled").NonGolden().Add(uint64(len(out.ends)))
+		c.metrics().Counter("campaign.events.unjournaled").NonGolden().Add(uint64(bytes.Count(out.Bytes(), []byte{'\n'})))
 		c.logger().Error("journal append failed; the next transition writes a snapshot",
 			obs.F("campaign", camp.id), obs.F("err", err.Error()))
 		return
@@ -347,7 +335,7 @@ func (c *Coordinator) restore(rec persistedCampaign) (*campaignState, error) {
 	}
 	camp := &campaignState{
 		id: rec.ID, spec: rec.Spec, tenant: tenantOf(rec.Spec), state: rec.State, err: rec.Err,
-		events: newEventRing(c.eventCap), trace: rec.Trace, seq: rec.Seq,
+		trace: rec.Trace, seq: rec.Seq,
 	}
 	if camp.trace == "" {
 		camp.trace = obs.NewTraceID() // pre-trace document
@@ -387,7 +375,7 @@ func (c *Coordinator) restore(rec persistedCampaign) (*campaignState, error) {
 // dropped a torn tail, and RepairLog cuts that tail off the file so this
 // coordinator's first append starts on a line boundary.
 func (c *Coordinator) replayJournal(camp *campaignState) error {
-	log, err := c.area.LoadLog(camp.id + ".events")
+	log, err := c.area.LoadLog(camp.id+".events", 0)
 	if err != nil {
 		return err
 	}

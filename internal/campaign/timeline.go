@@ -114,10 +114,10 @@ func (jl *journalLine) attemptOf() int {
 	return jl.Attempt
 }
 
-// BuildTimeline reconstructs a campaign's timeline from its event journal
-// (the JSONL StateArea log named "<id>.events"; the in-memory event ring
-// serves the same lines, minus whatever wrapped). id filters foreign lines
-// and labels the output; "" accepts any campaign field.
+// BuildTimeline reconstructs a campaign's timeline from its event journal:
+// the JSONL StateArea log named "<id>.events", read from the store or as a
+// coordinator serves it on /events, byte for byte the same. id filters
+// foreign lines and labels the output; "" accepts any campaign field.
 func BuildTimeline(journal []byte, id string) (*Timeline, error) {
 	var lines []journalLine
 	malformed := 0

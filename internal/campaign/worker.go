@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -253,12 +254,12 @@ func (w *Worker) computeCell(ctx context.Context, l *Lease) ([]experiment.RunRes
 	if err != nil {
 		return nil, nil, err
 	}
-	var line lineBuffer
+	var line bytes.Buffer
 	obs.NewLogger(&line, obs.LevelInfo).Info("cell computed",
 		obs.F("worker", w.Name), obs.F("cell", l.Bench), obs.F("runs", l.Runs),
 		obs.F("trace", l.Trace), obs.F("span", l.Span),
 		obs.F("host_seconds_nongolden", time.Since(start).Seconds()))
-	return ss.Results, []json.RawMessage{json.RawMessage(trimNL(line.buf))}, nil
+	return ss.Results, []json.RawMessage{json.RawMessage(trimNL(line.Bytes()))}, nil
 }
 
 func trimNL(b []byte) []byte {

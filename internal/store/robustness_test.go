@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -352,7 +353,7 @@ func TestStateAreaAppendLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("state area: %v", err)
 	}
-	if buf, err := area.LoadLog("c0001.events"); err != nil || buf != nil {
+	if buf, err := area.LoadLog("c0001.events", 0); err != nil || buf != nil {
 		t.Fatalf("load of missing log = (%q, %v), want (nil, nil)", buf, err)
 	}
 	if err := area.AppendLog("c0001.events", []byte(`{"n":1}`)); err != nil {
@@ -361,9 +362,25 @@ func TestStateAreaAppendLog(t *testing.T) {
 	if err := area.AppendLog("c0001.events", []byte(`{"n":2}`+"\n")); err != nil {
 		t.Fatalf("append with newline: %v", err)
 	}
-	buf, err := area.LoadLog("c0001.events")
+	buf, err := area.LoadLog("c0001.events", 0)
 	if err != nil || string(buf) != "{\"n\":1}\n{\"n\":2}\n" {
 		t.Fatalf("load log = (%q, %v)", buf, err)
+	}
+	// A read from the end of a line returns the lines after it, nothing at
+	// the log's end; any other offset is rejected.
+	if buf, err := area.LoadLog("c0001.events", 8); err != nil || string(buf) != "{\"n\":2}\n" {
+		t.Fatalf("load log from the end of line 1 = (%q, %v)", buf, err)
+	}
+	if buf, err := area.LoadLog("c0001.events", 16); err != nil || buf != nil {
+		t.Fatalf("load log from its end = (%q, %v), want (nil, nil)", buf, err)
+	}
+	for _, from := range []int64{-1, 3, 15, 17} {
+		if buf, err := area.LoadLog("c0001.events", from); !errors.Is(err, ErrLogCursor) {
+			t.Errorf("load log from %d = (%q, %v), want ErrLogCursor", from, buf, err)
+		}
+	}
+	if _, err := area.LoadLog("missing", 1); !errors.Is(err, ErrLogCursor) {
+		t.Errorf("load of a missing log from 1: %v, want ErrLogCursor", err)
 	}
 	// Logs never surface as documents.
 	if err := area.Save("c0001", []byte(`{"v":1}`)); err != nil {
@@ -378,22 +395,28 @@ func TestStateAreaAppendLog(t *testing.T) {
 		[]byte("{\"n\":1}\n{\"n\":2}\n{\"torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	buf, err = area.LoadLog("c0001.events")
+	buf, err = area.LoadLog("c0001.events", 0)
 	if err != nil || string(buf) != "{\"n\":1}\n{\"n\":2}\n" {
 		t.Fatalf("torn tail not dropped: (%q, %v)", buf, err)
+	}
+	if buf, err := area.LoadLog("c0001.events", 16); err != nil || buf != nil {
+		t.Fatalf("load from before a torn tail = (%q, %v), want (nil, nil)", buf, err)
+	}
+	if _, err := area.LoadLog("c0001.events", 18); !errors.Is(err, ErrLogCursor) {
+		t.Fatalf("load from inside a torn tail: %v, want ErrLogCursor", err)
 	}
 	// A log that is nothing but a torn line reads as empty.
 	if err := os.WriteFile(filepath.Join(dir, "campaigns", "torn.jsonl"), []byte("{\"t"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if buf, err := area.LoadLog("torn"); err != nil || buf != nil {
+	if buf, err := area.LoadLog("torn", 0); err != nil || buf != nil {
 		t.Fatalf("all-torn log = (%q, %v), want (nil, nil)", buf, err)
 	}
 	for _, bad := range []string{"", "../escape", "a/b", ".hidden"} {
 		if err := area.AppendLog(bad, []byte("x")); err == nil {
 			t.Errorf("AppendLog(%q) accepted", bad)
 		}
-		if _, err := area.LoadLog(bad); err == nil {
+		if _, err := area.LoadLog(bad, 0); err == nil {
 			t.Errorf("LoadLog(%q) accepted", bad)
 		}
 	}

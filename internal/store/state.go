@@ -115,9 +115,9 @@ func (a *StateArea) List() ([]string, error) {
 // Nothing here calls fsync: an append survives the writer's death, not a
 // power loss. The coordinator's per-campaign journal lives here: it is
 // the source of truth for the campaign's scheduling state (replayed on
-// top of the snapshot document at restart), and what lets `szfarm
-// timeline` reconstruct a campaign across restarts, failovers, and
-// event-ring wraps.
+// top of the snapshot document at restart), the event stream every
+// coordinator serves by byte offset, and what lets `szfarm timeline`
+// reconstruct a campaign across restarts and failovers.
 func (a *StateArea) AppendLog(name string, lines []byte) error {
 	if err := validStateName(name); err != nil {
 		return err
@@ -128,15 +128,22 @@ func (a *StateArea) AppendLog(name string, lines []byte) error {
 	return nil
 }
 
-// LoadLog reads the named append-only log; a missing log is (nil, nil).
-// A torn final line — the crash window AppendLog documents — is dropped,
-// so callers always see whole lines.
-func (a *StateArea) LoadLog(name string) ([]byte, error) {
+// LoadLog reads the named append-only log from byte offset from, which
+// must be 0 or the end of one of its lines: an error wrapping ErrLogCursor
+// rejects any other offset. A missing log reads as empty, (nil, nil) from
+// 0. Only whole lines are returned — a torn final line, the crash window
+// AppendLog documents, or an append still in progress is left out — so
+// from plus the length returned is again a valid offset, and stays one
+// while the log grows.
+func (a *StateArea) LoadLog(name string, from int64) ([]byte, error) {
 	if err := validStateName(name); err != nil {
 		return nil, err
 	}
-	buf, _, err := readLines(filepath.Join(a.dir, name+".jsonl"))
+	buf, _, err := readLines(filepath.Join(a.dir, name+".jsonl"), from)
 	if os.IsNotExist(err) {
+		if from != 0 {
+			return nil, fmt.Errorf("store: loading log %s: %w: offset %d in a missing log", name, ErrLogCursor, from)
+		}
 		return nil, nil
 	}
 	if err != nil {
@@ -154,7 +161,7 @@ func (a *StateArea) RepairLog(name string) error {
 		return err
 	}
 	path := filepath.Join(a.dir, name+".jsonl")
-	buf, torn, err := readLines(path)
+	buf, torn, err := readLines(path, 0)
 	if os.IsNotExist(err) || (err == nil && !torn) {
 		return nil
 	}

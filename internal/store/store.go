@@ -45,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -394,15 +395,43 @@ func appendLine(path string, line []byte) error {
 	return werr
 }
 
-// readLines reads the log at path up to its last newline. An unterminated
-// tail — a crash mid-append — is cut off and reported as torn; a log with
-// no whole line reads as nil.
-func readLines(path string) (lines []byte, torn bool, err error) {
-	buf, err := os.ReadFile(path)
+// ErrLogCursor rejects a log read from an offset that is neither 0 nor the
+// end of one of the log's lines.
+var ErrLogCursor = errors.New("log cursor is not at the end of a line")
+
+// readLines reads the log at path from byte offset from up to its last
+// newline; from must be 0 or follow one of the log's newlines. An
+// unterminated tail — a crash or an append in progress — is cut off and
+// reported as torn; no whole line reads as nil. The buffer is sized from
+// the file's length, as os.ReadFile's is.
+func readLines(path string, from int64) (lines []byte, torn bool, err error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
-	n := bytes.LastIndexByte(buf, '\n') + 1
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false, err
+	}
+	if from < 0 || from > fi.Size() {
+		return nil, false, fmt.Errorf("%w: offset %d in a %d-byte log", ErrLogCursor, from, fi.Size())
+	}
+	// Read from the byte before the cursor, which must be a newline.
+	start := max(from-1, 0)
+	buf := make([]byte, fi.Size()-start)
+	n, err := f.ReadAt(buf, start)
+	if err != nil && err != io.EOF {
+		return nil, false, err
+	}
+	buf = buf[:n]
+	if from > 0 {
+		if n == 0 || buf[0] != '\n' {
+			return nil, false, fmt.Errorf("%w: offset %d", ErrLogCursor, from)
+		}
+		buf = buf[1:]
+	}
+	n = bytes.LastIndexByte(buf, '\n') + 1
 	if n == 0 {
 		return nil, len(buf) > 0, nil
 	}
@@ -413,7 +442,7 @@ func readLines(path string) (lines []byte, torn bool, err error) {
 // the last one wins. A missing file, a wrong header, a torn final line or
 // an undecodable line is an error, on which Open rebuilds the index.
 func (s *Store) loadIndex() error {
-	buf, torn, err := readLines(filepath.Join(s.dir, indexName))
+	buf, torn, err := readLines(filepath.Join(s.dir, indexName), 0)
 	if err != nil {
 		return err
 	}
