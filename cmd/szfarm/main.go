@@ -43,11 +43,14 @@
 // gc` reclaims them.
 //
 // The coordinator journals every campaign transition to an append-only log
-// under <store>/campaigns/: a crashed (even kill -9'd) coordinator
-// restarted against the same -store replays it and resumes its open
-// campaigns with no lost or double-counted cells. `szfarm events` reads
-// that log by byte cursor, so a follower resumes across a restart or a
-// failover. Two serve processes may share one -store for high availability:
+// under <store>/campaigns/, the campaign's only durable record: a crashed
+// (even kill -9'd) coordinator restarted against the same -store rebuilds
+// each campaign from its log and resumes the open ones with no lost or
+// double-counted cells. A log written by a build that also kept an
+// <id>.json snapshot has no submit record, so its campaign is skipped with
+// a warning; resubmit the spec, and its finished cells are store hits.
+// `szfarm events` reads that log by byte cursor, so a follower resumes
+// across a restart or a failover. Two serve processes may share one -store for high availability:
 // they race for the store's coordination lease, exactly one is active at a
 // time, and a killed active is replaced by its standby within ~2× the
 // -coord-ttl — clients and workers given the comma-separated server list

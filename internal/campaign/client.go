@@ -33,8 +33,9 @@ import (
 // endpoint and fails over to the one reporting itself active with the
 // highest fencing epoch — the promoted standby — inside the same bounded
 // retry loop. A standby answers protocol requests with 503 + Retry-After,
-// which is retryable, so a client that guessed wrong converges on the
-// active coordinator without special cases.
+// which is retryable: the reprobe that follows pins the active
+// coordinator and the client retries there at once, so a client that
+// guessed wrong converges without special cases or a wait.
 type Client struct {
 	// Server is one or more coordinator base URLs, comma-separated, e.g.
 	// "http://localhost:8713" or "http://a:8713,http://b:8713".
@@ -120,14 +121,15 @@ func (c *Client) ObservedCoordinator() (holder string, epoch uint64) {
 }
 
 // reprobe asks every listed server who it is and switches to the best
-// answer: active role first, then highest fencing epoch. With nobody
+// answer: active role first, then highest fencing epoch. It reports
+// whether that is a different server from the one in use. With nobody
 // answering "active" (mid-election) the current choice stands — the retry
 // loop's backoff covers the promotion window. Single-server clients skip
 // the probe entirely.
-func (c *Client) reprobe(ctx context.Context) {
+func (c *Client) reprobe(ctx context.Context) (switched bool) {
 	list := c.serverList()
 	if len(list) < 2 {
-		return
+		return false
 	}
 	best, bestEpoch := -1, uint64(0)
 	for i, server := range list {
@@ -139,11 +141,14 @@ func (c *Client) reprobe(ctx context.Context) {
 			best, bestEpoch = i, info.Epoch
 		}
 	}
-	if best >= 0 {
-		c.mu.Lock()
-		c.active = best
-		c.mu.Unlock()
+	if best < 0 {
+		return false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switched = c.active%len(list) != best
+	c.active = best
+	return switched
 }
 
 // probeOne fetches one server's /v1/coordinator document (single attempt,
@@ -216,15 +221,20 @@ func (c *Client) doJSON(ctx context.Context, site, method, path string, in, out 
 
 // retry runs an exchange until it succeeds, fails definitively, or runs
 // out of attempts. A retryable failure against a multi-server list
-// triggers a coordinator reprobe before the next attempt, so a failover
-// (dead active, promoted standby) resolves inside the ordinary retry
-// budget.
+// triggers a coordinator reprobe before any wait: when it pins another
+// server — a standby's 503 or a dead active's refusal, answered by the
+// active coordinator — the next attempt goes there at once, so a failover
+// resolves inside the ordinary retry budget without waiting out the
+// failed server's Retry-After.
 func (c *Client) retry(ctx context.Context, once func() error) error {
 	attempts := c.maxAttempts()
 	for attempt := 0; ; attempt++ {
 		err := once()
 		if err == nil || attempt >= attempts-1 || !retryableError(err) || ctx.Err() != nil {
 			return err
+		}
+		if c.reprobe(ctx) {
+			continue
 		}
 		delay := c.retryBase() << attempt
 		if delay > retryBackoffCap {
@@ -240,7 +250,6 @@ func (c *Client) retry(ctx context.Context, once func() error) error {
 		if serr := sleepCtx(ctx, delay); serr != nil {
 			return err
 		}
-		c.reprobe(ctx)
 	}
 }
 

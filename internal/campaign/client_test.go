@@ -168,3 +168,29 @@ func TestClientEventsFailsOver(t *testing.T) {
 		t.Fatalf("events read through failover:\n%s\nwant the journal (%v):\n%s", buf.Bytes(), err, journal)
 	}
 }
+
+// TestClientStandbyFirstDoesNotWait lists a standby with default options,
+// whose 503 asks for a 6 s Retry-After, ahead of the active coordinator:
+// the reprobe after that 503 pins the active one, and the client retries
+// there at once instead of waiting out the standby's Retry-After.
+func TestClientStandbyFirstDoesNotWait(t *testing.T) {
+	coord, st, active := newFarm(t, CoordinatorOptions{Obs: obs.NewScope()})
+	if _, _, _, err := coord.Submit(testSpec()); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	standby, err := NewHAServer(HAOptions{Coordinator: CoordinatorOptions{Store: st}, Identity: "standby"})
+	if err != nil {
+		t.Fatalf("standby: %v", err)
+	}
+	ts := httptest.NewServer(standby)
+	defer ts.Close()
+	client := NewClient(ts.URL + "," + active.Server)
+	start := time.Now()
+	sts, err := client.StatusAll(context.Background())
+	if err != nil || len(sts) != 1 {
+		t.Fatalf("status through a standby-first list: %v, %+v", err, sts)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("status through a standby-first list took %s, want under 1s", took)
+	}
+}

@@ -138,8 +138,7 @@ type campaignState struct {
 	// and journaled, so every cell attempt — including ones re-leased by
 	// a promoted successor after failover — shares one trace.
 	trace string
-	// submitted anchors queue-wait measurement (journaled; zero for
-	// campaigns restored from pre-trace journals).
+	// submitted anchors queue-wait measurement (journaled).
 	submitted time.Time
 
 	// artifact caches the merged artifact bytes once assembled.
@@ -148,17 +147,23 @@ type campaignState struct {
 	// The journal (persist.go): batch queues the event lines of the
 	// transition in progress until flushLocked renders them and appends
 	// them in one write; seq numbers the campaign's last journal record;
-	// snapshotDue makes the next commit write a snapshot document.
-	batch       []pendingEvent
-	seq         uint64
-	snapshotDue bool
+	// unwritten holds the rendered lines of a failed append, which the
+	// next flush writes first; repair makes that flush cut a torn fragment
+	// off the log before it appends (set after a failed append and at
+	// restore).
+	batch     []pendingEvent
+	seq       uint64
+	unwritten []byte
+	repair    bool
 }
 
-// pendingEvent is one queued journal line: a coordinator event, or a
-// worker-forwarded line (raw, already one compact line).
+// pendingEvent is one queued journal line: a coordinator event with the
+// record it carries, if any, or a worker-forwarded line (raw, already one
+// compact line).
 type pendingEvent struct {
 	msg    string
 	fields []obs.Field
+	rec    *journalRecord
 	raw    []byte
 }
 
@@ -184,7 +189,7 @@ type lease struct {
 // coordination.
 type Coordinator struct {
 	opts CoordinatorOptions
-	area *store.StateArea // campaign journals and snapshots (campaigns/ beside blocks/)
+	area *store.StateArea // campaign journals (campaigns/ beside blocks/)
 
 	mu        sync.Mutex
 	campaigns []*campaignState
@@ -213,7 +218,7 @@ type Coordinator struct {
 const idemCap = 4096
 
 // NewCoordinator builds a coordinator over the given store and restores
-// any campaigns persisted by a previous coordinator process on the same
+// any campaigns journaled by a previous coordinator process on the same
 // store directory: open campaigns resume scheduling, their stale leases
 // re-expire lazily, and completed-but-unjournaled cells are recovered from
 // the store itself.
@@ -268,7 +273,7 @@ func (c *Coordinator) logger() *obs.Logger {
 // eventLocked queues a JSONL line in the obs wire format for the
 // transition in progress on camp and mirrors it to the coordinator log.
 // The transition's commit (commitLocked, or flushLocked for submit and
-// restore) renders the queued lines with a wall-clock timestamp
+// a restore's own line) renders the queued lines with a wall-clock timestamp
 // (t_wall_ns_nongolden) so the timeline can order them, and appends them
 // to the durable journal: what restore replays, what /events serves, and
 // what `szfarm timeline` reads, across restarts and failovers. Must be
@@ -386,14 +391,22 @@ func (c *Coordinator) Submit(spec Spec) (id string, cells, hits int, err error) 
 		obs.F("runs", spec.Runs), obs.F("seed", spec.Seed),
 		obs.F("tenant", camp.tenant), obs.F("trace", camp.trace))
 	c.refreshLocked(camp)
-	c.flushLocked(camp, nil)
-	c.persistLocked(camp)
+	// The submit record, seq 1, rides on the "campaign submitted" line: a
+	// restart rebuilds the campaign from it (persist.go).
+	sub := &submitRecord{Spec: spec, Trace: camp.trace, Submitted: camp.submitted.UnixNano()}
+	for _, cell := range camp.cells {
+		if cell.fromHit {
+			sub.FromHit = append(sub.FromHit, cell.Bench)
+		}
+	}
+	camp.seq = 1
+	camp.batch[0].rec = &journalRecord{Seq: 1, State: camp.state, Submit: sub}
+	c.flushLocked(camp)
 	return camp.id, len(camp.cells), hits, nil
 }
 
 // refreshLocked recomputes a campaign's terminal state and, on reaching
-// one, emits the terminal event and makes the transition's commit write a
-// snapshot. Must be called with c.mu held.
+// one, emits the terminal event. Must be called with c.mu held.
 func (c *Coordinator) refreshLocked(camp *campaignState) {
 	if camp.state != StateRunning {
 		return
@@ -404,7 +417,6 @@ func (c *Coordinator) refreshLocked(camp *campaignState) {
 		case cellFailed:
 			camp.state = StateFailed
 			camp.err = fmt.Sprintf("cell %s failed after %d attempts: %s", cell.Bench, cell.attempts, cell.err)
-			camp.snapshotDue = true
 			c.eventLocked(camp, "campaign failed", obs.F("cell", cell.Bench), obs.F("err", cell.err))
 			return
 		case cellDone:
@@ -413,7 +425,6 @@ func (c *Coordinator) refreshLocked(camp *campaignState) {
 	}
 	if done == len(camp.cells) {
 		camp.state = StateDone
-		camp.snapshotDue = true
 		c.eventLocked(camp, "campaign complete", obs.F("cells", done))
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,9 +156,9 @@ func TestCoordinatorRestartResumesCampaign(t *testing.T) {
 	if !bytes.Equal(merged, baseline) {
 		t.Fatalf("artifact after crash+restart differs from uninterrupted local run")
 	}
-	// The durable document survives and is valid JSON on disk.
-	if _, err := os.Stat(filepath.Join(dir, "campaigns", id+".json")); err != nil {
-		t.Fatalf("campaign document missing: %v", err)
+	// The journal survives on disk.
+	if _, err := os.Stat(filepath.Join(dir, "campaigns", id+".events.jsonl")); err != nil {
+		t.Fatalf("campaign journal missing: %v", err)
 	}
 }
 
@@ -354,11 +356,12 @@ func TestChaosProtocolFaults(t *testing.T) {
 	}
 }
 
-// TestTornCampaignDocsSkippedNotFatal: damaged documents in the campaigns/
-// state area — a torn write predating the atomic-write layer, a document
-// from a future schema, one whose cells no longer marry to its spec — must
-// never prevent a coordinator from starting. Each is skipped with a
-// counter; intact neighbors restore normally.
+// TestTornCampaignDocsSkippedNotFatal: damaged journals in the campaigns/
+// state area — one whose submit line is torn, one whose record names a
+// cell its spec does not derive, and one with records but no submit
+// record, as builds that kept a snapshot document beside the journal
+// wrote — must never prevent a coordinator from starting. Each is skipped
+// with a counter; an intact neighbor restores normally.
 func TestTornCampaignDocsSkippedNotFatal(t *testing.T) {
 	dir := t.TempDir()
 	stA, err := store.Open(dir)
@@ -374,15 +377,19 @@ func TestTornCampaignDocsSkippedNotFatal(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	writeDoc := func(name, body string) {
+	writeLog := func(name string, lines ...string) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, "campaigns", name), []byte(body), 0o644); err != nil {
+		body := strings.Join(lines, "\n") + "\n"
+		if err := os.WriteFile(filepath.Join(dir, "campaigns", name+".events.jsonl"), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writeDoc("c0100.json", `{"schema":1,"id":"c0100","spec":{"benchmarks":["as`) // torn mid-write
-	writeDoc("c0101.json", `{"schema":99,"id":"c0101"}`)                         // future schema
-	writeDoc("c0102.json", `{"schema":1,"id":"c0102","spec":{},"cells":[{"bench":"ghost"}]}`)
+	submit := `{"msg":"campaign submitted","rec":{"seq":1,"state":"running","submit":{"spec":{"benchmarks":["astar"],"runs":3},"trace":"t"}}}`
+	grant := `{"msg":"lease granted","rec":{"seq":2,"state":"running","cell":{"bench":"%s","state":"leased","attempts":1,"lease":7},` +
+		`"lease":{"id":7,"bench":"%s","worker":"w","deadline_unix_nano":1,"attempt":1}}}`
+	writeLog("c0100", submit[:len(submit)/2], fmt.Sprintf(grant, "astar", "astar"))                   // torn submit line
+	writeLog("c0101", submit, fmt.Sprintf(grant, "ghost", "ghost"))                                   // a cell the spec does not derive
+	writeLog("c0102", strings.Replace(fmt.Sprintf(grant, "astar", "astar"), `"seq":2`, `"seq":1`, 1)) // no submit record
 
 	stB, err := store.Open(dir)
 	if err != nil {
@@ -390,16 +397,22 @@ func TestTornCampaignDocsSkippedNotFatal(t *testing.T) {
 	}
 	coordB, err := NewCoordinator(CoordinatorOptions{Store: stB, Obs: obs.NewScope(), now: futureClock})
 	if err != nil {
-		t.Fatalf("coordinator refused to start over damaged documents: %v", err)
+		t.Fatalf("coordinator refused to start over damaged journals: %v", err)
 	}
 	if got := coordB.metrics().Counter("campaign.docs.skipped").Value(); got != 3 {
-		t.Fatalf("documents skipped = %d, want 3", got)
+		t.Fatalf("journals skipped = %d, want 3", got)
 	}
 	if got := coordB.metrics().Counter("campaign.restored").Value(); got != 1 {
 		t.Fatalf("campaigns restored = %d, want 1", got)
 	}
 	if _, ok := coordB.Status(id); !ok {
 		t.Fatalf("intact campaign %s lost among damaged neighbors", id)
+	}
+	coordB.mu.Lock()
+	leases := len(coordB.leases)
+	coordB.mu.Unlock()
+	if leases != 0 {
+		t.Fatalf("skipped journals left %d leases in the table", leases)
 	}
 }
 

@@ -139,8 +139,8 @@ func TestCoordinatorFailoverFinishesCampaign(t *testing.T) {
 // TestLeaseStealFencesDeposedCoordinator deposes a live coordinator at the
 // worst possible moment — between a completion's lease resolution and its
 // store write — using the lease-steal fault site, and pins every fenced
-// surface: the store write is refused, the journal document stays
-// byte-for-byte intact, and new submissions are rejected.
+// surface: the store write is refused, the journal stays byte-for-byte
+// intact, and new submissions are rejected.
 func TestLeaseStealFencesDeposedCoordinator(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -168,7 +168,7 @@ func TestLeaseStealFencesDeposedCoordinator(t *testing.T) {
 	if grant.Lease == nil {
 		t.Fatalf("no lease")
 	}
-	journal := filepath.Join(dir, "campaigns", id+".json")
+	journal := filepath.Join(dir, "campaigns", id+".events.jsonl")
 	preSteal, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatalf("journal before steal: %v", err)
@@ -203,10 +203,13 @@ func TestLeaseStealFencesDeposedCoordinator(t *testing.T) {
 		t.Fatalf("fenced-write counter did not move")
 	}
 
-	// The deposed journal write is refused and the pre-steal document
-	// survives untouched — the usurper replayed it at promotion.
+	// A transition the deposed coordinator commits is refused and the
+	// pre-steal journal survives untouched — the usurper replayed it at
+	// promotion.
 	c.mu.Lock()
-	c.persistLocked(c.byID[id])
+	camp := c.byID[id]
+	c.eventLocked(camp, "cell requeued", obs.F("cell", camp.cells[0].Bench))
+	c.commitLocked(camp, camp.cells[0], nil)
 	c.mu.Unlock()
 	if got := c.metrics().Counter("campaign.persist.fenced").Value(); got != 1 {
 		t.Fatalf("fenced persists = %d, want 1", got)
@@ -216,7 +219,7 @@ func TestLeaseStealFencesDeposedCoordinator(t *testing.T) {
 		t.Fatalf("journal after steal: %v", err)
 	}
 	if !bytes.Equal(preSteal, postSteal) {
-		t.Fatalf("deposed coordinator modified the journal document")
+		t.Fatalf("deposed coordinator modified the journal")
 	}
 
 	if _, _, _, err := c.Submit(testSpec()); !errors.As(err, &fenced) {

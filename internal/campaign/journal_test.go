@@ -281,18 +281,20 @@ func mustRead(t *testing.T, path string) []byte {
 	return buf
 }
 
-// TestReplayFaultedAppendWritesSnapshot fails one journal append at the
-// coord.persist fault site — a release, so the journal's last record for
-// that cell and lease is stale: scheduling carries on, the next transition
-// writes a snapshot that covers the lost record, and a restart restores
-// the live state exactly, replaying only the records after the snapshot.
-func TestReplayFaultedAppendWritesSnapshot(t *testing.T) {
+// TestReplayFaultedAppendRetried fails one journal append at the
+// coord.persist fault site — a release, so without it the journal's last
+// record for that cell and lease is stale. Scheduling carries on, the next
+// transition's append writes the failed one's lines ahead of its own, and
+// a restart restores the live state exactly from records numbered without
+// a gap; records a partial write repeated are skipped.
+func TestReplayFaultedAppendRetried(t *testing.T) {
 	r := newJournalRig(t, t.TempDir())
 	r.submit("astar", "bzip2", "mcf")
 	r.grant("w1")
 	r.grant("w2")
 	m := r.c.metrics()
-	writes := m.Counter("campaign.persist.writes").Value()
+	logPath := filepath.Join(r.dir, "campaigns", r.ids[0]+".events.jsonl")
+	before := mustRead(t, logPath)
 
 	deactivate := faultinject.Activate(1, faultinject.Fault{
 		Site: faultinject.SiteCoordPersist, Kind: faultinject.KindError, Nth: 1,
@@ -304,72 +306,94 @@ func TestReplayFaultedAppendWritesSnapshot(t *testing.T) {
 	if got := m.Counter("campaign.events.unjournaled").Value(); got != 1 {
 		t.Fatalf("unjournaled lines = %d, want 1", got)
 	}
-	if got := m.Counter("campaign.persist.writes").Value(); got != writes {
-		t.Fatalf("a failed append wrote a snapshot at once (%d writes, want %d)", got, writes)
+	if got := mustRead(t, logPath); !bytes.Equal(got, before) {
+		t.Fatalf("a failed append changed the journal:\n%s", got[len(before):])
 	}
+	appends := m.Counter("campaign.journal.appends").Value()
 	if err := r.complete(1, "w1", ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counter("campaign.persist.writes").Value(); got != writes+1 {
-		t.Fatalf("the transition after a failed append wrote %d snapshots, want 1", got-writes)
+	if got := m.Counter("campaign.journal.appends").Value(); got != appends+1 {
+		t.Fatalf("the retry and the next transition took %d appends, want 1", got-appends)
+	}
+	if added := mustRead(t, logPath)[len(before):]; !bytes.HasPrefix(added, []byte(`{"level":"info","msg":"lease released (worker draining)"`)) {
+		t.Fatalf("the next append does not start with the failed one's line:\n%s", added)
 	}
 	r.grant("w3") // back to plain appends
-	if got := m.Counter("campaign.persist.writes").Value(); got != writes+1 {
-		t.Fatalf("snapshots kept coming after the retry (%d)", got-writes)
+	if got := m.Counter("campaign.events.unjournaled").Value(); got != 1 {
+		t.Fatalf("unjournaled lines = %d after the retry, want 1", got)
+	}
+	journal := mustRead(t, logPath)
+	records := uint64(0)
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		if rec := lineRecord(line); rec != nil {
+			if records++; rec.Seq != records {
+				t.Fatalf("record %d has seq %d:\n%s", records, rec.Seq, journal)
+			}
+		}
+	}
+	if records != 6 { // the submit, three grants, the release, the completion
+		t.Fatalf("%d records in the journal, want 6", records)
 	}
 	live := coordState(r.c)
 	r.c = r.open()
 	if got := coordState(r.c); got != live {
 		t.Fatalf("restore after a failed append:\ngot  %s\nwant %s", got, live)
 	}
+	// A partial write that landed records before it failed repeats them
+	// when it is retried: replay skips every record it has applied.
+	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Write(journal)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	live = coordState(r.c)
+	r.c = r.open()
+	if got := coordState(r.c); got != live {
+		t.Fatalf("restore over repeated records:\ngot  %s\nwant %s", got, live)
+	}
 }
 
-// TestReplaySchema1DocumentRestoresAsWritten restores a schema-1 campaign
-// document written by the coordinator before its journal carried records:
-// one cell done, one re-leased after an expiry (the expired lease retired
-// in the table), one pending. It must restore exactly as that coordinator
-// restored it, with nothing replayed from the journal.
-func TestReplaySchema1DocumentRestoresAsWritten(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "campaigns"), 0o755); err != nil {
+// TestSkippedJournalKeepsItsIDs damages the first line of a campaign's
+// journal, its submit record, so a restart skips that campaign. Its id and
+// the lease ids it journaled stay taken: the next submission gets the next
+// id and a lease numbered above them, and a second restart restores the
+// new campaign exactly.
+func TestSkippedJournalKeepsItsIDs(t *testing.T) {
+	r := newJournalRig(t, t.TempDir())
+	r.submit("astar", "bzip2")
+	r.grant("w1")
+	r.grant("w2")
+	r.submit("mcf", "milc")
+	r.grant("w3")
+	r.grant("w4")
+	logPath := filepath.Join(r.dir, "campaigns", "c0002.events.jsonl")
+	journal := mustRead(t, logPath)
+	end := bytes.IndexByte(journal, '\n')
+	if err := os.WriteFile(logPath, append(journal[:end/2:end/2], journal[end:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	doc := mustRead(t, filepath.Join("testdata", "schema1", "c0001.json"))
-	if err := os.WriteFile(filepath.Join(dir, "campaigns", "c0001.json"), doc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := &journalRig{t: t, dir: dir, clock: time.Unix(1700000034, 0)}
-	r.opts = CoordinatorOptions{LeaseTTL: 30 * time.Second, now: func() time.Time { return r.clock }}
-	r.c = r.open()
 
-	st, ok := r.c.Status("c0001")
-	if !ok {
-		t.Fatal("schema-1 campaign not restored")
+	r.c = r.open()
+	if got := r.c.metrics().Counter("campaign.docs.skipped").Value(); got != 1 {
+		t.Fatalf("journals skipped = %d, want 1", got)
 	}
-	want := `{"id":"c0001","tenant":"default","state":"running","cells":3,"done":1,"pending":1,"leased":1,"failed":0,"store_hits":0,"detail":[{"bench":"astar","state":"done","attempts":1,"store_hit":false},{"bench":"bzip2","state":"leased","attempts":2,"store_hit":false,"error":"lease expired (worker presumed dead)"},{"bench":"mcf","state":"pending","attempts":0,"store_hit":false}]}`
-	if got, _ := json.Marshal(st); string(got) != want {
-		t.Fatalf("restored status\n%s\nwant\n%s", got, want)
+	if _, ok := r.c.Status("c0002"); ok {
+		t.Fatal("campaign c0002 restored without its submit record")
 	}
-	r.c.mu.Lock()
-	next, leases := r.c.nextLease, len(r.c.leases)
-	retired := r.c.leases[2]
-	r.c.mu.Unlock()
-	if next != 3 || leases != 2 || retired == nil || !retired.expired || retired.attempt != 1 || retired.worker != "w2" {
-		t.Fatalf("lease table: next %d, %d leases, retired %+v; want next 3, 2 leases, lease 2 expired at attempt 1", next, leases, retired)
+	r.submit("astar", "bzip2")
+	if got := r.ids[2]; got != "c0003" {
+		t.Fatalf("submission after the skip got id %s, want c0003", got)
 	}
-	grant := r.grant("w4")
-	if grant.ID != 4 || grant.Bench != "mcf" || grant.Attempt != 1 || grant.Trace != "16e614863c0f0f63" {
-		t.Fatalf("next grant %+v, want lease 4 on mcf, attempt 1, the document's trace", grant)
+	if l := r.grant("w5"); l.Campaign != "c0003" || l.ID != 5 {
+		t.Fatalf("grant %+v, want lease 5 of c0003: c0002 journaled leases 3 and 4", l)
 	}
-	if err := r.c.Complete(2, CompleteRequest{Worker: "w2", Results: fakeResults(3)}); err != nil {
-		t.Fatalf("late completion against the retired lease: %v", err)
-	}
-	want = `{"id":"c0001","tenant":"default","state":"running","cells":3,"done":2,"pending":0,"leased":1,"failed":0,"store_hits":0,"detail":[{"bench":"astar","state":"done","attempts":1,"store_hit":false},{"bench":"bzip2","state":"done","attempts":2,"store_hit":false},{"bench":"mcf","state":"leased","attempts":1,"store_hit":false}]}`
-	if st, _ := r.c.Status("c0001"); mustJSON(t, st) != want {
-		t.Fatalf("status after the late completion\n%s\nwant\n%s", mustJSON(t, st), want)
-	}
-	// Restore rewrote the document as a schema-2 snapshot, and what it
-	// journaled since replays.
 	live := coordState(r.c)
 	r.c = r.open()
 	if got := coordState(r.c); got != live {
@@ -377,17 +401,67 @@ func TestReplaySchema1DocumentRestoresAsWritten(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	buf, err := json.Marshal(v)
-	if err != nil {
+// TestRestartLeavesFinishedCampaignsAlone restarts a coordinator over one
+// campaign that finished normally and one that the restart itself finishes
+// by recovering its leased cell from the store (the crash window of
+// TestRestartRecoversStoreOnlyCompletions). A second restart must write
+// nothing: every file under campaigns/ stays byte-identical, each journal
+// holds exactly one "campaign complete" line, and the state restores as
+// the first restart left it.
+func TestRestartLeavesFinishedCampaignsAlone(t *testing.T) {
+	r := newJournalRig(t, t.TempDir())
+	r.submit("astar")
+	if err := r.complete(r.grant("w1").ID, "w1", ""); err != nil {
 		t.Fatal(err)
 	}
-	return string(buf)
+	r.submit("bzip2")
+	r.grant("w2")
+	r.c.mu.Lock()
+	cell := r.c.byID[r.ids[1]].cells[0].CellSpec
+	r.c.mu.Unlock()
+	if err := r.c.opts.Store.Put(cell.Key, cell.Runs, cell.SeedBase, fakeResults(cell.Runs)); err != nil {
+		t.Fatal(err)
+	}
+
+	r.c = r.open()
+	if st, _ := r.c.Status(r.ids[1]); st.State != StateDone {
+		t.Fatalf("restart did not finish %s from the store: %+v", r.ids[1], st)
+	}
+	area := filepath.Join(r.dir, "campaigns")
+	files := func() map[string]string {
+		entries, err := os.ReadDir(area)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			out[e.Name()] = string(mustRead(t, filepath.Join(area, e.Name())))
+		}
+		return out
+	}
+	first, live := files(), coordState(r.c)
+	r.c = r.open()
+	after := files()
+	for name, buf := range after {
+		if first[name] != buf {
+			t.Errorf("a restart over finished campaigns changed %s (%d -> %d bytes)", name, len(first[name]), len(buf))
+		}
+	}
+	if len(after) != len(first) {
+		t.Errorf("a restart over finished campaigns changed the files in campaigns/ from %d to %d", len(first), len(after))
+	}
+	if got := coordState(r.c); got != live {
+		t.Fatalf("second restore:\ngot  %s\nwant %s", got, live)
+	}
+	for _, id := range r.ids {
+		if n := strings.Count(first[id+".events.jsonl"], `"msg":"campaign complete"`); n != 1 {
+			t.Fatalf("%s journals %d campaign-complete lines, want 1", id, n)
+		}
+	}
 }
 
 // TestReplayJournalWriteCounts pins the cost of the journal: a drained
-// campaign writes two snapshots (submit and done) and one journal append
+// campaign writes its journal and nothing else, one append and one record
 // per transition, and a cell costs two appends and three fence checks —
 // the grant, the store write, the completion.
 func TestReplayJournalWriteCounts(t *testing.T) {
@@ -416,9 +490,6 @@ func TestReplayJournalWriteCounts(t *testing.T) {
 		if err := c.Complete(grant.Lease.ID, CompleteRequest{Worker: "w", Results: fakeResults(sp.Runs)}); err != nil {
 			t.Fatal(err)
 		}
-		if i == cells-1 {
-			break // the last cell also writes the terminal snapshot
-		}
 		if got := faultinject.Hits(faultinject.SiteCoordPersist) - appends; got != 2 {
 			t.Fatalf("cell %d: %d journal writes, want 2 appends", i, got)
 		}
@@ -428,9 +499,6 @@ func TestReplayJournalWriteCounts(t *testing.T) {
 	}
 	m := c.metrics()
 	transitions := uint64(1 + 2*cells) // submit, then a grant and a completion per cell
-	if got := m.Counter("campaign.persist.writes").Value(); got != 2 {
-		t.Fatalf("snapshots = %d, want 2 (submit and done)", got)
-	}
 	if got := m.Counter("campaign.journal.appends").Value(); got != transitions {
 		t.Fatalf("journal appends = %d, want %d (one per transition)", got, transitions)
 	}
@@ -438,20 +506,24 @@ func TestReplayJournalWriteCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := 0
+	records := uint64(0)
 	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
 		if r := lineRecord(line); r != nil {
 			records++
-			if r.Seq != uint64(records) {
+			if r.Seq != records {
 				t.Fatalf("record %d has seq %d", records, r.Seq)
 			}
 		}
 	}
-	if records != 2*cells {
-		t.Fatalf("%d records in the journal, want %d", records, 2*cells)
+	if records != transitions {
+		t.Fatalf("%d records in the journal, want %d", records, transitions)
 	}
 	if stat, _ := c.Status(id); stat.State != StateDone {
 		t.Fatalf("campaign %+v, want done", stat)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "campaigns"))
+	if err != nil || len(entries) != 1 || entries[0].Name() != id+".events.jsonl" {
+		t.Fatalf("campaigns/ holds %v (%v), want only the journal", entries, err)
 	}
 }
 
@@ -638,8 +710,9 @@ func BenchmarkCoordinatorCell(b *testing.B) {
 
 // BenchmarkCoordinatorRestore measures a coordinator restart on a fenced
 // on-disk store holding 40 or 120 finished campaigns of 18 one-run cells:
-// one op opens the store and builds a coordinator, which restores every
-// campaign from its snapshot and journal and journals its restore.
+// one op opens the store and builds a coordinator, which replays every
+// campaign's journal from its submit record. A finished campaign is
+// restored without a write, so every op restores the same files.
 func BenchmarkCoordinatorRestore(b *testing.B) {
 	for _, campaigns := range []int{40, 120} {
 		b.Run(fmt.Sprintf("campaigns=%d", campaigns), func(b *testing.B) {

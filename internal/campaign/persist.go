@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -12,50 +13,21 @@ import (
 	"repro/internal/bench"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
-// PersistSchema versions the coordinator's campaign snapshot documents.
-// A schema-2 snapshot names the last journal record it reflects, and
-// restore replays the journal's later records on top of it; a schema-1
-// document (written before the journal carried records) restores as
-// written, with nothing replayed. Documents with another schema are skipped
-// at load with a warning — an older coordinator must never misread a newer
-// document as state.
-const PersistSchema = 2
-
-// persistedCampaign is one campaign's snapshot document, written through
-// the store's atomic state area ("campaigns/<id>.json", beside blocks/).
-// The campaign's source of truth is its journal beside it,
-// "<id>.events.jsonl": every scheduling transition appends its event lines
-// there in one write, and the transition's last coordinator line carries a
-// journalRecord. The snapshot is written only at submit, at the terminal
-// state, after a restore, and at the first transition after a failed
-// journal or snapshot write. It captures everything the scheduler cannot
-// rederive — the spec, each cell's scheduling state and attempt count, and
-// the lease table, including retired (expired) leases, so late completions
-// posted against a pre-crash lease still resolve after a restart. The
-// assembled artifact is deliberately absent: it is rebuilt from the store.
-type persistedCampaign struct {
-	Schema int    `json:"schema"`
-	ID     string `json:"id"`
-	Spec   Spec   `json:"spec"`
-	State  string `json:"state"`
-	Err    string `json:"err,omitempty"`
-	// Trace is the campaign's distributed trace ID. Journaling it is what
-	// keeps one trace across a failover: the promoted coordinator restores
-	// it instead of minting a new one. Optional (older documents predate
-	// it); a restored campaign without one gets a fresh ID.
-	Trace string `json:"trace,omitempty"`
-	// Submitted anchors queue-wait derivation (optional, unix nanos).
-	Submitted int64            `json:"submitted_unix_nano,omitempty"`
-	Cells     []persistedCell  `json:"cells"`
-	Leases    []persistedLease `json:"leases,omitempty"`
-	// Seq is the last journal record the snapshot reflects (schema 2);
-	// NextLease is the coordinator's lease counter when it was taken, so a
-	// restart never hands out a lease id a completed lease already used.
-	Seq       uint64 `json:"seq,omitempty"`
-	NextLease uint64 `json:"next_lease,omitempty"`
-}
+// A campaign's only durable record is its journal, "<id>.events.jsonl" in
+// the store's "campaigns" state area beside blocks/. Every scheduling
+// transition appends its event lines there in one write, and one
+// coordinator line of the transition carries a journalRecord in its "rec"
+// field. The first record, on the "campaign submitted" line, also carries
+// the submission (submitRecord); a restart rebuilds the campaign from it
+// and applies every later record in log order. Together the records hold
+// everything the scheduler cannot rederive — the spec, each cell's
+// scheduling state and attempt count, and the lease table, including
+// retired (expired) leases, so late completions posted against a
+// pre-crash lease still resolve after a restart. The assembled artifact is
+// deliberately absent: it is rebuilt from the store.
 
 type persistedCell struct {
 	Bench    string `json:"bench"`
@@ -78,8 +50,7 @@ type persistedLease struct {
 	Worker   string `json:"worker"`
 	Deadline int64  `json:"deadline_unix_nano"`
 	Expired  bool   `json:"expired,omitempty"`
-	// Attempt freezes which cell attempt this lease represents (optional;
-	// 0 in older documents falls back to the cell's live attempt count).
+	// Attempt freezes which cell attempt this lease represents.
 	Attempt int `json:"attempt,omitempty"`
 }
 
@@ -87,15 +58,27 @@ type persistedLease struct {
 // in its "rec" field: the campaign's state after one scheduling transition,
 // and the post-transition state of the one cell and the one lease the
 // transition touched. Resolved, instead of Lease, names a lease the
-// transition removed from the lease table (a completion). Seq numbers a
-// campaign's records from 1.
+// transition removed from the lease table (a completion). Submit is set on
+// the campaign's first record only. Seq numbers a campaign's records from 1.
 type journalRecord struct {
 	Seq      uint64          `json:"seq"`
 	State    string          `json:"state"`
 	Err      string          `json:"err,omitempty"`
+	Submit   *submitRecord   `json:"submit,omitempty"`
 	Cell     *persistedCell  `json:"cell,omitempty"`
 	Lease    *persistedLease `json:"lease,omitempty"`
 	Resolved uint64          `json:"resolved,omitempty"`
+}
+
+// submitRecord is the submission a campaign is rebuilt from: the spec its
+// cells derive from, its trace ID (journaled so one trace spans a
+// failover), the submit time that anchors queue waits, and the benchmarks
+// the store served at submit.
+type submitRecord struct {
+	Spec      Spec     `json:"spec"`
+	Trace     string   `json:"trace"`
+	Submitted int64    `json:"submitted_unix_nano"`
+	FromHit   []string `json:"from_hit,omitempty"`
 }
 
 // lineRecord returns the record a journal line carries, or nil for a line
@@ -141,115 +124,53 @@ func leaseRecord(l *lease) persistedLease {
 	}
 }
 
-// recordLocked snapshots a campaign (and its leases) into its durable form.
-// Must be called with c.mu held.
-func (c *Coordinator) recordLocked(camp *campaignState) persistedCampaign {
-	rec := persistedCampaign{
-		Schema:    PersistSchema,
-		ID:        camp.id,
-		Spec:      camp.spec,
-		State:     camp.state,
-		Err:       camp.err,
-		Trace:     camp.trace,
-		Seq:       camp.seq,
-		NextLease: c.nextLease,
-	}
-	if !camp.submitted.IsZero() {
-		rec.Submitted = camp.submitted.UnixNano()
-	}
-	for _, cell := range camp.cells {
-		rec.Cells = append(rec.Cells, cellRecord(cell))
-	}
-	for _, l := range c.leases {
-		if l.campaign == camp {
-			rec.Leases = append(rec.Leases, leaseRecord(l))
-		}
-	}
-	return rec
-}
-
-// persistLocked writes the campaign's snapshot document through the
-// store's atomic write layer: at submit, at the terminal state, after a
-// restore, and at the first transition after a failed journal or snapshot
-// write (snapshotDue). A failed write degrades durability, not scheduling:
-// it is logged and counted, and the next transition retries. A fenced
-// write — this coordinator's epoch superseded by a promoted standby — is
-// refused outright: the successor replayed this journal at promotion, and
-// a deposed writer must not clobber the successor's newer records. Must be
-// called with c.mu held.
-func (c *Coordinator) persistLocked(camp *campaignState) {
-	camp.snapshotDue = true // until the write below lands
-	if err := faultinject.Hit(context.Background(), faultinject.SiteCoordPersist); err != nil {
-		c.metrics().Counter("campaign.persist.errors").NonGolden().Inc()
-		c.logger().Error("journal write faulted", obs.F("campaign", camp.id), obs.F("err", err.Error()))
-		return
-	}
-	if c.opts.Fence != nil {
-		if err := c.opts.Fence.Check(); err != nil {
-			c.metrics().Counter("campaign.persist.fenced").NonGolden().Inc()
-			c.logger().Error("journal write refused: coordinator deposed by a newer fencing epoch",
-				obs.F("campaign", camp.id), obs.F("err", err.Error()))
-			return
-		}
-	}
-	buf, err := json.Marshal(c.recordLocked(camp))
-	if err == nil {
-		err = c.area.Save(camp.id, append(buf, '\n'))
-	}
-	if err != nil {
-		c.metrics().Counter("campaign.persist.errors").NonGolden().Inc()
-		c.logger().Error("persisting campaign state failed; coordinator state is in-memory until the next transition",
-			obs.F("campaign", camp.id), obs.F("err", err.Error()))
-		return
-	}
-	camp.snapshotDue = false
-	c.metrics().Counter("campaign.persist.writes").NonGolden().Inc()
-}
-
 // commitLocked ends one scheduling transition on camp, which touched cell
-// and lease l: it numbers the transition's record and writes the queued
-// event lines with the record attached (flushLocked). A snapshot follows
-// when one is due — the transition ended the campaign, or an earlier
-// transition's write failed; a write failing here makes the next
-// transition write one. Must be called with c.mu held.
+// and lease l (nil when it touched none): it numbers the transition's
+// record, attaches it to the transition's last coordinator line and
+// appends the queued lines (flushLocked). Must be called with c.mu held.
 func (c *Coordinator) commitLocked(camp *campaignState, cell *cellState, l *lease) {
-	due := camp.snapshotDue
 	camp.seq++
 	pc := cellRecord(cell)
 	rec := &journalRecord{Seq: camp.seq, State: camp.state, Err: camp.err, Cell: &pc}
-	if c.leases[l.id] == l {
+	switch {
+	case l == nil:
+	case c.leases[l.id] == l:
 		pl := leaseRecord(l)
 		rec.Lease = &pl
 		l.journaled = l.deadline
-	} else {
+	default:
 		rec.Resolved = l.id
 	}
-	c.flushLocked(camp, rec)
-	if due {
-		c.persistLocked(camp)
+	for i := len(camp.batch) - 1; i >= 0; i-- {
+		if camp.batch[i].raw == nil {
+			camp.batch[i].rec = rec
+			break
+		}
 	}
+	c.flushLocked(camp)
 }
 
 // flushLocked renders the lines queued by eventLocked and Complete's
-// worker lines, attaches rec (if any) to the last coordinator line, and
-// appends them all to the journal in one write under one fence check. A
-// failed append is counted, its lines are never served, and the next
-// transition writes a snapshot. Must be called with c.mu held.
-func (c *Coordinator) flushLocked(camp *campaignState, rec *journalRecord) {
-	last := -1
-	for i, ev := range camp.batch {
-		if ev.raw == nil {
-			last = i
-		}
-	}
+// worker lines, each coordinator line with its record if it carries one,
+// and appends them to the journal in one write under one fence check. An
+// append that fails keeps its lines: the next flush cuts any torn
+// fragment off the log (RepairLog) and writes them ahead of its own, and
+// replay skips the records a partial write had already landed. A fenced
+// append is refused and its lines are dropped: the successor replayed
+// this journal at promotion, and a deposed writer must not add to it.
+// Must be called with c.mu held.
+func (c *Coordinator) flushLocked(camp *campaignState) {
 	var out bytes.Buffer
+	out.Write(camp.unwritten)
+	kept := len(camp.unwritten)
+	camp.unwritten = nil
 	lg := obs.NewLogger(&out, obs.LevelInfo).WallClock().With(obs.F("campaign", camp.id))
-	for i, ev := range camp.batch {
+	for _, ev := range camp.batch {
 		switch {
 		case ev.raw != nil:
 			out.Write(ev.raw)
-		case i == last && rec != nil:
-			lg.Info(ev.msg, append(ev.fields[:len(ev.fields):len(ev.fields)], obs.F("rec", rec))...)
+		case ev.rec != nil:
+			lg.Info(ev.msg, append(ev.fields[:len(ev.fields):len(ev.fields)], obs.F("rec", ev.rec))...)
 		default:
 			lg.Info(ev.msg, ev.fields...)
 		}
@@ -260,21 +181,30 @@ func (c *Coordinator) flushLocked(camp *campaignState, rec *journalRecord) {
 		return
 	}
 	err := faultinject.Hit(context.Background(), faultinject.SiteCoordPersist)
-	if err == nil && c.opts.Fence != nil {
-		if err = c.opts.Fence.Check(); err != nil {
-			c.metrics().Counter("campaign.persist.fenced").NonGolden().Inc()
-		}
+	if err == nil {
+		err = c.opts.Fence.Check()
+	}
+	if err == nil && camp.repair {
+		err = c.area.RepairLog(camp.id + ".events")
 	}
 	if err == nil {
 		err = c.area.AppendLog(camp.id+".events", out.Bytes())
 	}
 	if err != nil {
-		camp.snapshotDue = true
-		c.metrics().Counter("campaign.events.unjournaled").NonGolden().Add(uint64(bytes.Count(out.Bytes(), []byte{'\n'})))
-		c.logger().Error("journal append failed; the next transition writes a snapshot",
+		c.metrics().Counter("campaign.events.unjournaled").NonGolden().Add(uint64(bytes.Count(out.Bytes()[kept:], []byte{'\n'})))
+		var fenced *store.FencedError
+		if errors.As(err, &fenced) {
+			c.metrics().Counter("campaign.persist.fenced").NonGolden().Inc()
+			c.logger().Error("journal append refused: coordinator deposed by a newer fencing epoch",
+				obs.F("campaign", camp.id), obs.F("err", err.Error()))
+			return
+		}
+		camp.unwritten, camp.repair = out.Bytes(), true
+		c.logger().Error("journal append failed; the next transition retries it",
 			obs.F("campaign", camp.id), obs.F("err", err.Error()))
 		return
 	}
+	camp.repair = false
 	c.metrics().Counter("campaign.journal.appends").NonGolden().Inc()
 }
 
@@ -310,181 +240,175 @@ func (c *Coordinator) restoreLease(camp *campaignState, pl persistedLease) error
 	if cell == nil {
 		return fmt.Errorf("campaign %s: lease %d names unknown cell %q", camp.id, pl.ID, pl.Bench)
 	}
-	attempt := pl.Attempt
-	if attempt == 0 {
-		attempt = cell.attempts
-	}
 	deadline := time.Unix(0, pl.Deadline)
 	c.leases[pl.ID] = &lease{
 		id: pl.ID, campaign: camp, cell: cell, worker: pl.Worker,
 		deadline: deadline, journaled: deadline, expired: pl.Expired,
-		attempt: attempt,
+		attempt: pl.Attempt,
 	}
-	c.nextLease = max(c.nextLease, pl.ID)
 	return nil
 }
 
-// restore rebuilds one campaign from its snapshot document. The cells are
-// rederived from the spec (the derivation is deterministic and pinned by
-// test) and married to the persisted scheduling state by benchmark name; a
-// record whose cells no longer match the derivation — a suite change under
-// a live store — fails the campaign rather than mis-scheduling it.
-func (c *Coordinator) restore(rec persistedCampaign) (*campaignState, error) {
-	if rec.Schema != 1 && rec.Schema != PersistSchema {
-		return nil, fmt.Errorf("campaign %s: persisted schema %d, this build reads 1 and %d", rec.ID, rec.Schema, PersistSchema)
+// campaignFromSubmit builds a campaign as Submit built it, from its submit
+// record: the cells are rederived from the spec (the derivation is
+// deterministic and pinned by test) and the ones the store served are
+// done.
+func campaignFromSubmit(id string, r *journalRecord) (*campaignState, error) {
+	sub := r.Submit
+	if sub == nil {
+		return nil, fmt.Errorf("campaign %s: the journal's first record is not its submit record "+
+			"(an older build wrote the journal, or its first line is damaged)", id)
 	}
 	camp := &campaignState{
-		id: rec.ID, spec: rec.Spec, tenant: tenantOf(rec.Spec), state: rec.State, err: rec.Err,
-		trace: rec.Trace, seq: rec.Seq,
+		id: id, spec: sub.Spec, tenant: tenantOf(sub.Spec), trace: sub.Trace,
+		submitted: time.Unix(0, sub.Submitted), repair: true,
 	}
-	if camp.trace == "" {
-		camp.trace = obs.NewTraceID() // pre-trace document
+	for _, cs := range sub.Spec.Cells() {
+		camp.cells = append(camp.cells, &cellState{CellSpec: cs, state: cellPending})
 	}
-	if rec.Submitted != 0 {
-		camp.submitted = time.Unix(0, rec.Submitted)
-	}
-	byBench := map[string]persistedCell{}
-	for _, pc := range rec.Cells {
-		byBench[pc.Bench] = pc
-	}
-	for _, cs := range rec.Spec.Cells() {
-		pc, ok := byBench[cs.Bench]
-		if !ok {
-			return nil, fmt.Errorf("campaign %s: persisted state has no cell %q", rec.ID, cs.Bench)
+	for _, name := range sub.FromHit {
+		cell := camp.cellNamed(name)
+		if cell == nil {
+			return nil, fmt.Errorf("campaign %s: submit record names unknown cell %q", id, name)
 		}
-		st := &cellState{CellSpec: cs}
-		if err := applyCell(rec.ID, st, pc); err != nil {
-			return nil, err
-		}
-		camp.cells = append(camp.cells, st)
-	}
-	if len(camp.cells) != len(rec.Cells) {
-		return nil, fmt.Errorf("campaign %s: %d persisted cells for %d derived", rec.ID, len(rec.Cells), len(camp.cells))
-	}
-	c.nextLease = max(c.nextLease, rec.NextLease)
-	for _, pl := range rec.Leases {
-		if err := c.restoreLease(camp, pl); err != nil {
-			return nil, err
-		}
+		cell.state, cell.fromHit = cellDone, true
 	}
 	return camp, nil
 }
 
-// replayJournal applies the journal records written after the snapshot, in
-// log order. Lines that are not records are skipped, LoadLog has already
-// dropped a torn tail, and RepairLog cuts that tail off the file so this
-// coordinator's first append starts on a line boundary.
-func (c *Coordinator) replayJournal(camp *campaignState) error {
-	log, err := c.area.LoadLog(camp.id+".events", 0)
-	if err != nil {
-		return err
+// apply sets camp to one record's state: the campaign's, the cell's, and
+// the lease table's.
+func (c *Coordinator) apply(camp *campaignState, r *journalRecord) error {
+	switch r.State {
+	case StateRunning, StateDone, StateFailed:
+	default:
+		return fmt.Errorf("campaign %s: record %d has unknown state %q", camp.id, r.Seq, r.State)
 	}
-	for len(log) > 0 {
-		var line []byte
-		line, log, _ = bytes.Cut(log, []byte{'\n'})
-		r := lineRecord(line)
-		if r == nil || r.Seq <= camp.seq {
-			continue
+	camp.state, camp.err, camp.seq = r.State, r.Err, r.Seq
+	if r.Cell != nil {
+		cell := camp.cellNamed(r.Cell.Bench)
+		if cell == nil {
+			return fmt.Errorf("campaign %s: record %d names unknown cell %q", camp.id, r.Seq, r.Cell.Bench)
 		}
-		switch r.State {
-		case StateRunning, StateDone, StateFailed:
-		default:
-			return fmt.Errorf("campaign %s: record %d has unknown state %q", camp.id, r.Seq, r.State)
+		if err := applyCell(camp.id, cell, *r.Cell); err != nil {
+			return err
 		}
-		camp.state, camp.err, camp.seq = r.State, r.Err, r.Seq
-		if r.Cell != nil {
-			cell := camp.cellNamed(r.Cell.Bench)
-			if cell == nil {
-				return fmt.Errorf("campaign %s: record %d names unknown cell %q", camp.id, r.Seq, r.Cell.Bench)
-			}
-			if err := applyCell(camp.id, cell, *r.Cell); err != nil {
-				return err
-			}
-		}
-		if r.Lease != nil {
-			if err := c.restoreLease(camp, *r.Lease); err != nil {
-				return err
-			}
-		}
-		if l := c.leases[r.Resolved]; l != nil && l.campaign == camp {
-			delete(c.leases, r.Resolved)
-		}
-		c.nextLease = max(c.nextLease, r.Resolved)
 	}
-	if err := c.area.RepairLog(camp.id + ".events"); err != nil {
-		c.logger().Warn("journal tail left torn", obs.F("campaign", camp.id), obs.F("err", err.Error()))
+	if r.Lease != nil {
+		if err := c.restoreLease(camp, *r.Lease); err != nil {
+			return err
+		}
+	}
+	if l := c.leases[r.Resolved]; l != nil && l.campaign == camp {
+		delete(c.leases, r.Resolved)
 	}
 	return nil
 }
 
-// loadCampaigns restores every persisted campaign at coordinator start:
-// each campaign's snapshot, then the journal records written after it, then
-// a re-probe of the store. Open campaigns resume scheduling exactly where
-// the previous process stopped, stale leases re-expire through the ordinary
-// lazy-expiry path, and cells whose store block landed before the crash
-// (but whose state transition did not) are recovered as done — the store
-// is the source of truth for completed work, so a crash can never
-// double-count or lose a cell. Called from NewCoordinator before the
-// coordinator is shared, so no locking is needed.
+// replay rebuilds campaign id from its journal: the campaign its first
+// record submitted, then every later record in log order, skipping any
+// whose seq is not above the last one applied (a retried append may repeat
+// records). Lines that are not records are skipped, and LoadLog has
+// already dropped a torn tail. Every lease id a record names raises the
+// lease counter, even when the journal does not restore, so no lease id is
+// issued twice.
+func (c *Coordinator) replay(id string) (*campaignState, error) {
+	log, err := c.area.LoadLog(id+".events", 0)
+	if err != nil {
+		return nil, err
+	}
+	var camp *campaignState
+	for len(log) > 0 {
+		var line []byte
+		line, log, _ = bytes.Cut(log, []byte{'\n'})
+		r := lineRecord(line)
+		if r == nil {
+			continue
+		}
+		c.nextLease = max(c.nextLease, r.Resolved)
+		if r.Lease != nil {
+			c.nextLease = max(c.nextLease, r.Lease.ID)
+		}
+		if r.Cell != nil {
+			c.nextLease = max(c.nextLease, r.Cell.Lease)
+		}
+		switch {
+		case err != nil:
+		case camp == nil:
+			if camp, err = campaignFromSubmit(id, r); err == nil {
+				err = c.apply(camp, r)
+			}
+		case r.Seq > camp.seq:
+			err = c.apply(camp, r)
+		}
+	}
+	if err == nil && camp == nil {
+		err = fmt.Errorf("campaign %s: the journal holds no record", id)
+	}
+	if err != nil {
+		for lid, l := range c.leases {
+			if l.campaign == camp {
+				delete(c.leases, lid)
+			}
+		}
+		return nil, err
+	}
+	return camp, nil
+}
+
+// loadCampaigns restores every campaign on the store at coordinator start
+// by replaying its journal. A campaign still running resumes scheduling
+// exactly where the previous process stopped: its restore is journaled,
+// stale leases re-expire through the ordinary lazy-expiry path, and cells
+// whose store block landed before the crash (but whose transition did
+// not) are recovered as done, each with its record — the store is the
+// source of truth for completed work, so a crash can never double-count
+// or lose a cell. A campaign that has ended is restored without a write.
+// A journal that does not replay is skipped with a warning; its id and
+// lease ids still count, so neither is issued again. Called from
+// NewCoordinator before the coordinator is shared, so no locking is
+// needed.
 func (c *Coordinator) loadCampaigns() error {
 	names, err := c.area.List()
 	if err != nil {
 		return err
 	}
 	for _, name := range names {
-		buf, err := c.area.Load(name)
-		if err != nil || buf == nil {
-			c.metrics().Counter("campaign.docs.skipped").NonGolden().Inc()
-			c.logger().Warn("unreadable campaign document skipped", obs.F("campaign", name))
+		id, ok := strings.CutSuffix(name, ".events")
+		if !ok {
 			continue
 		}
-		var rec persistedCampaign
-		if err := json.Unmarshal(buf, &rec); err != nil {
-			c.metrics().Counter("campaign.docs.skipped").NonGolden().Inc()
-			c.logger().Warn("corrupt campaign document skipped",
-				obs.F("campaign", name), obs.F("err", err.Error()))
-			continue
-		}
-		camp, err := c.restore(rec)
-		if err == nil && rec.Schema == PersistSchema {
-			err = c.replayJournal(camp)
-		}
+		c.nextCamp = max(c.nextCamp, campNumber(id))
+		camp, err := c.replay(id)
 		if err != nil {
-			for id, l := range c.leases {
-				if l.campaign == camp {
-					delete(c.leases, id)
-				}
-			}
 			c.metrics().Counter("campaign.docs.skipped").NonGolden().Inc()
-			c.logger().Warn("campaign document failed to restore",
-				obs.F("campaign", name), obs.F("err", err.Error()))
+			c.logger().Warn("campaign journal skipped; resubmit its spec, whose finished cells are store hits",
+				obs.F("campaign", id), obs.F("err", err.Error()))
 			continue
-		}
-		recovered := 0
-		if camp.state == StateRunning {
-			for _, cell := range camp.cells {
-				if cell.state == cellDone || cell.state == cellFailed {
-					continue
-				}
-				if results := c.opts.Store.Get(cell.Key, cell.Runs, cell.SeedBase); results != nil {
-					cell.state = cellDone
-					cell.err = ""
-					recovered++
-				}
-			}
 		}
 		c.campaigns = append(c.campaigns, camp)
-		c.byID[camp.id] = camp
-		if n := campNumber(camp.id); n > c.nextCamp {
-			c.nextCamp = n
+		c.byID[id] = camp
+		c.metrics().Counter("campaign.restored").NonGolden().Inc()
+		if camp.state != StateRunning {
+			continue
+		}
+		var recovered []*cellState
+		for _, cell := range camp.cells {
+			open := cell.state == cellPending || cell.state == cellLeased
+			if open && c.opts.Store.Get(cell.Key, cell.Runs, cell.SeedBase) != nil {
+				recovered = append(recovered, cell)
+			}
 		}
 		c.eventLocked(camp, "campaign restored from durable state",
 			obs.F("state", camp.state), obs.F("cells", len(camp.cells)),
-			obs.F("recovered_from_store", recovered))
-		c.refreshLocked(camp)
-		c.flushLocked(camp, nil)
-		c.persistLocked(camp)
-		c.metrics().Counter("campaign.restored").NonGolden().Inc()
+			obs.F("recovered_from_store", len(recovered)))
+		for _, cell := range recovered {
+			cell.state, cell.err = cellDone, ""
+			c.eventLocked(camp, "cell recovered from store", obs.F("cell", cell.Bench), obs.F("trace", camp.trace))
+			c.refreshLocked(camp)
+			c.commitLocked(camp, cell, nil)
+		}
+		c.flushLocked(camp)
 	}
 	// Campaign files are listed lexically; ids are zero-padded so that
 	// order matches submission order until the counter outgrows the

@@ -273,8 +273,8 @@ func TestStaleKey(t *testing.T) {
 	}
 }
 
-// TestStateArea covers the durable state area: atomic save/load/list/delete
-// plus the name guard that keeps documents inside the area.
+// TestStateArea covers the durable state area: the name guard that keeps
+// areas inside the store, and an area's logs surviving a store reopen.
 func TestStateArea(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -285,45 +285,12 @@ func TestStateArea(t *testing.T) {
 	if err != nil {
 		t.Fatalf("state area: %v", err)
 	}
-	if buf, err := area.Load("c0001"); err != nil || buf != nil {
-		t.Fatalf("load of missing doc = (%q, %v), want (nil, nil)", buf, err)
-	}
-	if err := area.Save("c0001", []byte(`{"v":1}`)); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := area.Save("c0001", []byte(`{"v":2}`)); err != nil {
-		t.Fatalf("overwrite: %v", err)
-	}
-	if err := area.Save("c0002", []byte(`{"v":3}`)); err != nil {
-		t.Fatalf("save second: %v", err)
-	}
-	buf, err := area.Load("c0001")
-	if err != nil || string(buf) != `{"v":2}` {
-		t.Fatalf("load = (%q, %v), want the overwritten doc", buf, err)
-	}
-	names, err := area.List()
-	if err != nil {
-		t.Fatalf("list: %v", err)
-	}
-	if len(names) != 2 || names[0] != "c0001" || names[1] != "c0002" {
-		t.Fatalf("list = %v, want [c0001 c0002]", names)
-	}
-	if err := area.Delete("c0001"); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	if err := area.Delete("c0001"); err != nil {
-		t.Fatalf("re-delete should be a no-op: %v", err)
-	}
-	names, _ = area.List()
-	if len(names) != 1 || names[0] != "c0002" {
-		t.Fatalf("list after delete = %v", names)
+	if err := area.AppendLog("c0002.events", []byte(`{"v":3}`+"\n")); err != nil {
+		t.Fatalf("append: %v", err)
 	}
 	for _, bad := range []string{"", "../escape", "a/b", ".hidden", "sp ace"} {
 		if _, err := s.StateArea(bad); err == nil {
 			t.Errorf("StateArea(%q) accepted", bad)
-		}
-		if err := area.Save(bad, []byte("x")); err == nil {
-			t.Errorf("Save(%q) accepted", bad)
 		}
 	}
 	// The area must survive a store reopen (same directory layout).
@@ -335,14 +302,14 @@ func TestStateArea(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen area: %v", err)
 	}
-	if buf, err := area2.Load("c0002"); err != nil || string(buf) != `{"v":3}` {
-		t.Fatalf("doc lost across reopen: (%q, %v)", buf, err)
+	if buf, err := area2.LoadLog("c0002.events", 0); err != nil || string(buf) != `{"v":3}`+"\n" {
+		t.Fatalf("log lost across reopen: (%q, %v)", buf, err)
 	}
 }
 
 // TestStateAreaAppendLog covers the append-only event journal: ordered
-// appends, torn-tail tolerance, .jsonl logs staying out of List, and the
-// name guard.
+// appends, torn-tail tolerance, List naming only .jsonl logs, and the name
+// guard.
 func TestStateAreaAppendLog(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -382,13 +349,18 @@ func TestStateAreaAppendLog(t *testing.T) {
 	if _, err := area.LoadLog("missing", 1); !errors.Is(err, ErrLogCursor) {
 		t.Errorf("load of a missing log from 1: %v, want ErrLogCursor", err)
 	}
-	// Logs never surface as documents.
-	if err := area.Save("c0001", []byte(`{"v":1}`)); err != nil {
-		t.Fatalf("save: %v", err)
+	// List names the logs, and nothing else in the area.
+	for _, other := range []string{"c0001.json", ".tmp-1.jsonl"} {
+		if err := os.WriteFile(filepath.Join(dir, "campaigns", other), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := area.AppendLog("c0000.events", []byte("{}\n")); err != nil {
+		t.Fatalf("append: %v", err)
 	}
 	names, err := area.List()
-	if err != nil || len(names) != 1 || names[0] != "c0001" {
-		t.Fatalf("list = (%v, %v), want just the document", names, err)
+	if err != nil || len(names) != 2 || names[0] != "c0000.events" || names[1] != "c0001.events" {
+		t.Fatalf("list = (%v, %v), want [c0000.events c0001.events]", names, err)
 	}
 	// A torn final line (crash mid-append) is dropped on read.
 	if err := os.WriteFile(filepath.Join(dir, "campaigns", "c0001.events.jsonl"),

@@ -8,15 +8,12 @@ import (
 	"strings"
 )
 
-// StateArea is a named directory of small JSON documents beside the block
-// tree — the coordinator's durable campaign state lives in the "campaigns"
-// area. Documents are written through the store's atomic temp+rename layer,
-// so a crash mid-save never leaves a torn document: readers see the old
-// version or the new one, nothing in between. Names are restricted to a
-// filename-safe alphabet because they become file names verbatim.
+// StateArea is a named directory of append-only JSONL logs beside the
+// block tree — the coordinator's campaign journals live in the "campaigns"
+// area. Names are restricted to a filename-safe alphabet because they
+// become file names verbatim.
 type StateArea struct {
 	dir string
-	s   *Store
 }
 
 // StateArea returns (creating if needed) the named state area. The area
@@ -29,11 +26,11 @@ func (s *Store) StateArea(name string) (*StateArea, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: state area %s: %w", name, err)
 	}
-	return &StateArea{dir: dir, s: s}, nil
+	return &StateArea{dir: dir}, nil
 }
 
-// validStateName guards area and document names: they become path
-// components, so only a conservative alphabet is allowed.
+// validStateName guards area and log names: they become path components,
+// so only a conservative alphabet is allowed.
 func validStateName(name string) error {
 	if name == "" {
 		return fmt.Errorf("store: empty state name")
@@ -52,43 +49,8 @@ func validStateName(name string) error {
 	return nil
 }
 
-func (a *StateArea) path(name string) (string, error) {
-	if err := validStateName(name); err != nil {
-		return "", err
-	}
-	return filepath.Join(a.dir, name+".json"), nil
-}
-
-// Save writes one document atomically (temp + rename).
-func (a *StateArea) Save(name string, data []byte) error {
-	path, err := a.path(name)
-	if err != nil {
-		return err
-	}
-	if err := atomicWrite(path, data); err != nil {
-		return fmt.Errorf("store: saving state %s: %w", name, err)
-	}
-	return nil
-}
-
-// Load reads one document; a missing document is (nil, nil), not an error.
-func (a *StateArea) Load(name string) ([]byte, error) {
-	path, err := a.path(name)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: loading state %s: %w", name, err)
-	}
-	return buf, nil
-}
-
-// List returns the area's document names, sorted, so restart-time loads
-// are order-deterministic.
+// List returns the names of the area's logs, as AppendLog names them,
+// sorted, so restart-time loads are order-deterministic.
 func (a *StateArea) List() ([]string, error) {
 	entries, err := os.ReadDir(a.dir)
 	if err != nil {
@@ -96,28 +58,27 @@ func (a *StateArea) List() ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") || strings.HasPrefix(e.Name(), ".") {
+		name, ok := strings.CutSuffix(e.Name(), ".jsonl")
+		if e.IsDir() || !ok || strings.HasPrefix(name, ".") {
 			continue
 		}
-		names = append(names, strings.TrimSuffix(e.Name(), ".json"))
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// AppendLog appends to the named append-only log, stored as <name>.jsonl
-// beside the area's documents (the .jsonl suffix keeps logs out of List,
-// which only returns .json documents). lines may hold several
-// newline-terminated lines: they go out in one O_APPEND write, so they
-// land together and after every earlier append. Unlike Save, appends are
-// not atomic — a crash can tear the final line — so LoadLog drops an
-// unterminated tail and RepairLog cuts it off before the next append.
-// Nothing here calls fsync: an append survives the writer's death, not a
-// power loss. The coordinator's per-campaign journal lives here: it is
-// the source of truth for the campaign's scheduling state (replayed on
-// top of the snapshot document at restart), the event stream every
-// coordinator serves by byte offset, and what lets `szfarm timeline`
-// reconstruct a campaign across restarts and failovers.
+// AppendLog appends to the named append-only log, stored as <name>.jsonl.
+// lines may hold several newline-terminated lines: they go out in one
+// O_APPEND write, so they land together and after every earlier append.
+// Appends are not atomic — a crash can tear the final line — so LoadLog
+// drops an unterminated tail and RepairLog cuts it off before the next
+// append. Nothing here calls fsync: an append survives the writer's death,
+// not a power loss. The coordinator's per-campaign journal lives here: it
+// is the campaign's only durable record (a restart replays it from its
+// submit record), the event stream every coordinator serves by byte
+// offset, and what lets `szfarm timeline` reconstruct a campaign across
+// restarts and failovers.
 func (a *StateArea) AppendLog(name string, lines []byte) error {
 	if err := validStateName(name); err != nil {
 		return err
@@ -170,18 +131,6 @@ func (a *StateArea) RepairLog(name string) error {
 	}
 	if err != nil {
 		return fmt.Errorf("store: repairing log %s: %w", name, err)
-	}
-	return nil
-}
-
-// Delete removes one document; deleting a missing document is a no-op.
-func (a *StateArea) Delete(name string) error {
-	path, err := a.path(name)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: deleting state %s: %w", name, err)
 	}
 	return nil
 }
