@@ -8,16 +8,16 @@
 //
 //	szgate run [-o bench.json] [-runs n | -adaptive [-target f] [-max n]]
 //	           [-scale f] [-seed n] [-level 0..3] [-stabilize] [-noise f]
-//	           [-engine compiled|walk] [-throughput] [-store dir]
+//	           [-throughput] [-store dir]
 //	           [-bench name[,name...]] [-cxx] [-quick] [-j n] [-commit sha]
 //	           [-metrics file [-metrics-full]] [-trace file]
 //	           [-log file [-log-level lvl]]
 //	szgate compare old.json new.json [-alpha f] [-threshold f] [-boot n]
-//	           [-min-ips-ratio f [-ips-bench name]]
 //	szgate compare -store dir [collection flags] old.json
 //	szgate show artifact.json
 //	szgate show -store dir [collection flags]
 //	szgate merge -o out.json a.json b.json [c.json ...]
+//	szgate floor
 //
 // `run` writes an artifact; identical seeds give byte-identical artifacts at
 // any -j. With -store, completed cells also land in a content-addressed
@@ -25,19 +25,19 @@
 // served from it, so an interrupted run resumes; `compare -store` and
 // `show -store` assemble an artifact from such a store in store-only mode
 // — byte-identical to the artifact `run` would have written, so the gate
-// verdict cannot depend on where the samples came from. A cell's key leaves
-// the interpreter engine out (both engines collect identical samples), so
-// a store's cells serve either engine, and `run -engine` is the only
-// engine flag: it matters only to -throughput host times, which the
-// throughput floor of `compare -min-ips-ratio` reads. `compare` prints the
-// gate table and distinguishes its exit codes so CI can tell a regression
-// from a broken run: 0 means the gate passed, 1 means it failed (a
-// BH-corrected regression whose slowdown exceeds -threshold), and 2 means
-// an infrastructure error (unreadable artifact, schema mismatch,
-// incomparable configurations). `show` summarizes one
-// artifact; `merge` combines artifacts collected under the same
-// configuration (extra samples must continue the seed range; disjoint
-// benchmark subsets just union).
+// verdict cannot depend on where the samples came from. `run` collects
+// with the compiled engine; a cell's key leaves the engine out, since both
+// engines collect identical samples. `compare` prints the gate table and
+// distinguishes its exit codes so CI can tell a regression from a broken
+// run: 0 means the gate passed, 1 means it failed (a BH-corrected
+// regression whose slowdown exceeds -threshold), and 2 means an
+// infrastructure error (unreadable artifact, schema mismatch, incomparable
+// configurations). `show` summarizes one artifact; `merge` combines
+// artifacts collected under the same configuration (extra samples must
+// continue the seed range; disjoint benchmark subsets just union).
+// `floor` times full runs of the compiled engine against the walk
+// reference on this host, and fails (exit 1) unless the 95% BCa lower
+// bound of their host-time ratio reaches 1.8 (see floor.go).
 package main
 
 import (
@@ -55,7 +55,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/gate"
-	"repro/internal/interp"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -80,11 +79,9 @@ func main() {
 	case "run":
 		err = cmdRun(os.Args[2:])
 	case "compare":
-		code, err := cmdCompare(os.Args[2:], os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "szgate: %v\n", err)
-		}
-		os.Exit(code)
+		exit(cmdCompare(os.Args[2:], os.Stdout))
+	case "floor":
+		exit(cmdFloor(os.Args[2:], os.Stdout))
 	case "show":
 		err = cmdShow(os.Args[2:])
 	case "merge":
@@ -106,6 +103,14 @@ func main() {
 	}
 }
 
+// exit reports err, if any, and ends the process with code.
+func exit(code int, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "szgate: %v\n", err)
+	}
+	os.Exit(code)
+}
+
 func usage() {
 	fmt.Fprint(os.Stderr, `szgate — benchmark artifact collection and regression gating
 
@@ -113,6 +118,8 @@ func usage() {
   szgate compare  gate new.json against old.json; exit 1 on regression
   szgate show     summarize one artifact
   szgate merge    combine artifacts collected under the same configuration
+  szgate floor    time the compiled engine against the walk engine here;
+                  exit 1 below the 1.8x floor
 
 Run 'szgate <subcommand> -h' for flags.
 `)
@@ -222,8 +229,7 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("szgate run", flag.ExitOnError)
 	out := fs.String("o", "bench.json", "output artifact path (- for stdout)")
 	sf := addSpecFlags(fs, "seed")
-	engine := fs.String("engine", "", "interpreter engine: compiled (default) or walk; samples are identical, only -throughput host times differ")
-	throughput := fs.Bool("throughput", false, "record per-run host wall-clock times (non-golden; enables IPS gating in compare)")
+	throughput := fs.Bool("throughput", false, "record per-run host wall-clock times (non-golden telemetry; no gate reads them)")
 	quick := fs.Bool("quick", false, "CI mode: scale 0.2, 8 runs")
 	adaptive := fs.Bool("adaptive", false, "adaptive stopping: sample until the CI half-width target")
 	target := fs.Float64("target", 0.005, "adaptive: target relative CI half-width on the mean")
@@ -246,9 +252,6 @@ func cmdRun(args []string) error {
 	}
 	cfg, err := sf.config()
 	if err != nil {
-		return err
-	}
-	if cfg.Engine, err = interp.ParseEngine(*engine); err != nil {
 		return err
 	}
 	experiment.SetParallelism(*jobs)
@@ -330,8 +333,6 @@ func cmdCompare(args []string, w io.Writer) (int, error) {
 	boot := fs.Int("boot", 2000, "bootstrap replicates")
 	confidence := fs.Float64("confidence", 0.95, "bootstrap CI level")
 	seed := fs.Uint64("seed", 1, "bootstrap seed")
-	minIPS := fs.Float64("min-ips-ratio", 0, "throughput floor: fail unless new/old retired-instructions-per-second ratio reaches this (0 disables; needs -throughput artifacts)")
-	ipsBench := fs.String("ips-bench", "", "headline benchmark for -min-ips-ratio (default: heaviest baseline workload)")
 	storeDir := fs.String("store", "", "assemble the new artifact from this result store (store-only) instead of a new.json file; the collection flags select its cells")
 	sf := addSpecFlags(fs, "collect-seed")
 	commit := fs.String("commit", "", "commit label for the store-assembled artifact")
@@ -367,7 +368,6 @@ func cmdCompare(args []string, w io.Writer) (int, error) {
 	rep, err := gate.Compare(old, new, gate.Options{
 		Alpha: *alpha, Threshold: *threshold,
 		Bootstrap: *boot, Confidence: *confidence, Seed: *seed,
-		MinIPSRatio: *minIPS, IPSBench: *ipsBench,
 	})
 	if err != nil {
 		// Compare only rejects inputs it cannot soundly gate (different

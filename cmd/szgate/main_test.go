@@ -26,12 +26,7 @@ func writeSynthetic(t *testing.T, dir, name string, n int, means map[string]floa
 			Seed: 1, Scale: 1, Level: "-O2", Stabilizer: "native", Noise: 0.0025},
 	}
 	for bname, mu := range means {
-		xs := make([]float64, n)
-		for i := range xs {
-			p := (float64(i) + 0.5) / float64(n)
-			xs[i] = mu * (1 + 0.0025*stats.NormalQuantile(p))
-		}
-		a.Benchmarks = append(a.Benchmarks, bench.Benchmark{Name: bname, Runs: n, Seconds: xs})
+		a.Benchmarks = append(a.Benchmarks, bench.Benchmark{Name: bname, Runs: n, Seconds: normalSamples(n, mu, 0.0025)})
 	}
 	if mutate != nil {
 		mutate(a)
@@ -45,6 +40,17 @@ func writeSynthetic(t *testing.T, dir, name string, n int, means map[string]floa
 		t.Fatal(err)
 	}
 	return path
+}
+
+// normalSamples returns n deterministic normal-shaped samples around mean
+// with relative spread cv.
+func normalSamples(n int, mean, cv float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		p := (float64(i) + 0.5) / float64(n)
+		xs[i] = mean * (1 + cv*stats.NormalQuantile(p))
+	}
+	return xs
 }
 
 func TestCompareExitCodes(t *testing.T) {

@@ -27,9 +27,10 @@ type CollectOptions struct {
 	// Commit labels the artifact with the source revision (optional).
 	Commit string
 	// Throughput additionally records per-run host wall-clock times in the
-	// artifact's non-golden HostSeconds field, for simulator-throughput
-	// gating (retired instructions per host second). Off by default so
-	// golden artifacts stay byte-identical across hosts and reruns.
+	// artifact's non-golden HostSeconds field, as simulator-throughput
+	// telemetry (retired instructions per host second) that no gate reads.
+	// Off by default so golden artifacts stay byte-identical across hosts
+	// and reruns.
 	Throughput bool
 
 	// Adaptive enables μOpTime-style adaptive stopping: sampling continues

@@ -29,6 +29,16 @@ func testSpec() Spec {
 	}
 }
 
+// acquire asks c for a lease, failing the test on an error.
+func acquire(tb testing.TB, c *Coordinator, worker string) AcquireResponse {
+	tb.Helper()
+	resp, err := c.Acquire(worker)
+	if err != nil {
+		tb.Fatalf("acquire for %s: %v", worker, err)
+	}
+	return resp
+}
+
 // newFarm builds a coordinator over a fresh store and serves it over a
 // loopback HTTP server.
 func newFarm(t *testing.T, opts CoordinatorOptions) (*Coordinator, *store.Store, *Client) {
@@ -272,7 +282,7 @@ func TestWorkerErrorRequeuesThenFails(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	for attempt := 1; attempt <= 3; attempt++ {
-		resp := c.Acquire("flaky")
+		resp := acquire(t, c, "flaky")
 		if resp.Lease == nil {
 			t.Fatalf("attempt %d: no lease granted", attempt)
 		}
@@ -295,7 +305,7 @@ func TestWorkerErrorRequeuesThenFails(t *testing.T) {
 		t.Fatalf("requeues = %d, want 2", got)
 	}
 	// A failed farm reports no work remaining, so idle-exit workers drain.
-	if resp := c.Acquire("flaky"); resp.Lease != nil || resp.Remaining != 0 {
+	if resp := acquire(t, c, "flaky"); resp.Lease != nil || resp.Remaining != 0 {
 		t.Fatalf("failed campaign still dispatches: %+v", resp)
 	}
 }
@@ -323,7 +333,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	first := c.Acquire("slow")
+	first := acquire(t, c, "slow")
 	if first.Lease == nil {
 		t.Fatalf("no lease granted")
 	}
@@ -334,7 +344,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	}
 	// Silence past the TTL expires the lease and requeues the cell.
 	clock = clock.Add(31 * time.Second)
-	second := c.Acquire("fast")
+	second := acquire(t, c, "fast")
 	if second.Lease == nil {
 		t.Fatalf("expired cell not re-leased")
 	}

@@ -514,8 +514,10 @@ type AcquireResponse struct {
 
 // Acquire grants a pending cell to the worker — chosen by the weighted
 // round-robin tenant scheduler in scheduler.go — or reports how much work
-// remains in flight.
-func (c *Coordinator) Acquire(worker string) AcquireResponse {
+// remains in flight. A grant whose journal append is refused as fenced is
+// withheld and the *store.FencedError returned: the successor never sees
+// that lease id and may issue it for another cell.
+func (c *Coordinator) Acquire(worker string) (AcquireResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked()
@@ -525,7 +527,9 @@ func (c *Coordinator) Acquire(worker string) AcquireResponse {
 	grant, remaining := c.scheduleLocked(worker)
 	resp := AcquireResponse{Remaining: remaining}
 	if grant != nil {
-		c.commitLocked(grant.campaign, grant.cell, grant)
+		if err := c.commitLocked(grant.campaign, grant.cell, grant); err != nil {
+			return AcquireResponse{}, err
+		}
 		resp.Lease = &Lease{
 			ID:         grant.id,
 			Campaign:   grant.campaign.id,
@@ -539,7 +543,7 @@ func (c *Coordinator) Acquire(worker string) AcquireResponse {
 			Span:       obs.SpanID(grant.campaign.id, grant.cell.Bench, grant.attempt),
 		}
 	}
-	return resp
+	return resp, nil
 }
 
 // Heartbeat extends a lease. Returns false when the lease is unknown or
@@ -1008,8 +1012,7 @@ func (c *Coordinator) Handler() http.Handler {
 			}
 			var fenced *store.FencedError
 			if errors.As(err, &fenced) {
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, err)
+				httpFenced(w, err)
 				return
 			}
 			httpError(w, http.StatusBadRequest, err)
@@ -1059,7 +1062,11 @@ func (c *Coordinator) Handler() http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding lease request: %w", err))
 			return
 		}
-		resp := c.Acquire(req.Worker)
+		resp, err := c.Acquire(req.Worker)
+		if err != nil {
+			httpFenced(w, err)
+			return
+		}
 		if resp.Lease != nil {
 			// The grant's trace context rides the response headers too, so
 			// transport-level tooling sees the same identifiers as the body.
@@ -1104,8 +1111,7 @@ func (c *Coordinator) Handler() http.Handler {
 			// lease (gone).
 			var fenced *store.FencedError
 			if errors.As(err, &fenced) {
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, err)
+				httpFenced(w, err)
 				return
 			}
 			httpError(w, http.StatusGone, err)
@@ -1338,4 +1344,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// httpFenced answers a write refused because a newer fencing epoch deposed
+// this coordinator: 503 with Retry-After, so the client reprobes and
+// retries against the promoted coordinator.
+func httpFenced(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusServiceUnavailable, err)
 }

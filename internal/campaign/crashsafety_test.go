@@ -89,7 +89,7 @@ func TestCoordinatorRestartResumesCampaign(t *testing.T) {
 	if cells != 2 || hits != 0 {
 		t.Fatalf("submit cells=%d hits=%d, want 2/0", cells, hits)
 	}
-	first := coordA.Acquire("doomed")
+	first := acquire(t, coordA, "doomed")
 	if first.Lease == nil {
 		t.Fatalf("no first lease")
 	}
@@ -98,7 +98,7 @@ func TestCoordinatorRestartResumesCampaign(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("complete first cell: %v", err)
 	}
-	second := coordA.Acquire("doomed")
+	second := acquire(t, coordA, "doomed")
 	if second.Lease == nil {
 		t.Fatalf("no second lease")
 	}
@@ -180,7 +180,7 @@ func TestRestartRecoversStoreOnlyCompletions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	grant := coordA.Acquire("w")
+	grant := acquire(t, coordA, "w")
 	if grant.Lease == nil {
 		t.Fatalf("no lease")
 	}
@@ -200,7 +200,7 @@ func TestRestartRecoversStoreOnlyCompletions(t *testing.T) {
 	if !ok || stat.State != StateDone || stat.Done != 1 {
 		t.Fatalf("restored status %+v, want done 1/1 (recovered from store)", stat)
 	}
-	if coordB.Acquire("w2").Remaining != 0 {
+	if acquire(t, coordB, "w2").Remaining != 0 {
 		t.Fatalf("recovered campaign still advertises work")
 	}
 }
@@ -220,7 +220,7 @@ func TestReleaseReturnsCellWithoutBurningAttempt(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	for round := 1; round <= 5; round++ {
-		grant := c.Acquire("drainer")
+		grant := acquire(t, c, "drainer")
 		if grant.Lease == nil {
 			t.Fatalf("round %d: no lease", round)
 		}
@@ -254,7 +254,7 @@ func TestCompleteIdempotency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	grant := c.Acquire("w")
+	grant := acquire(t, c, "w")
 	req := CompleteRequest{Worker: "w", Results: fakeResults(spec.Runs), IdempotencyKey: "lease-1"}
 	if err := c.Complete(grant.Lease.ID, req); err != nil {
 		t.Fatalf("complete: %v", err)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,7 +49,7 @@ func TestCoordinatorFailoverFinishesCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	first := coordA.Acquire("doomed")
+	first := acquire(t, coordA, "doomed")
 	if first.Lease == nil {
 		t.Fatalf("no first lease")
 	}
@@ -56,7 +58,7 @@ func TestCoordinatorFailoverFinishesCampaign(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("complete first cell: %v", err)
 	}
-	second := coordA.Acquire("doomed")
+	second := acquire(t, coordA, "doomed")
 	if second.Lease == nil {
 		t.Fatalf("no second lease")
 	}
@@ -164,7 +166,7 @@ func TestLeaseStealFencesDeposedCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	grant := c.Acquire("w")
+	grant := acquire(t, c, "w")
 	if grant.Lease == nil {
 		t.Fatalf("no lease")
 	}
@@ -224,6 +226,75 @@ func TestLeaseStealFencesDeposedCoordinator(t *testing.T) {
 
 	if _, _, _, err := c.Submit(testSpec()); !errors.As(err, &fenced) {
 		t.Fatalf("deposed Submit = %v, want *store.FencedError", err)
+	}
+}
+
+// TestDeposedCoordinatorGrantsNoLease pins that a grant whose journal
+// append is fenced is withheld. The successor never journaled that lease
+// id and may issue it for another cell, which would then take the first
+// cell's samples under its own key. Over HTTP the refusal is a 503 with
+// Retry-After, so the worker fails over to the successor.
+func TestDeposedCoordinatorGrantsNoLease(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	handle, _, err := st.Coordination().TryAcquire("coord-a", 30*time.Minute, time.Now())
+	if err != nil || handle == nil {
+		t.Fatalf("acquire lease A: %v %v", handle, err)
+	}
+	c, err := NewCoordinator(CoordinatorOptions{
+		Store: st, Obs: obs.NewScope(), Identity: "coord-a", Fence: handle,
+	})
+	if err != nil {
+		t.Fatalf("coordinator A: %v", err)
+	}
+	spec := testSpec()
+	spec.Benchmarks = []string{"astar", "bzip2", "mcf"}
+	id, _, _, err := c.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if first := acquire(t, c, "w"); first.Lease == nil || first.Lease.ID != 1 {
+		t.Fatalf("first grant %+v, want lease 1", first.Lease)
+	}
+	journal := filepath.Join(dir, "campaigns", id+".events.jsonl")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+
+	// B takes epoch 2 once A's coordination lease has run out.
+	stB, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	if handleB, _, err := stB.Coordination().TryAcquire("coord-b", 30*time.Minute, futureClock()); err != nil || handleB == nil || handleB.Epoch() != 2 {
+		t.Fatalf("B did not take epoch 2: %v %v", handleB, err)
+	}
+
+	resp, err := c.Acquire("w")
+	var fenced *store.FencedError
+	if !errors.As(err, &fenced) || resp.Lease != nil {
+		t.Fatalf("deposed Acquire = lease %+v, err %v; want no lease and a *store.FencedError", resp.Lease, err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	hr, err := http.Post(ts.URL+"/v1/leases", "application/json", strings.NewReader(`{"worker":"w"}`))
+	if err != nil {
+		t.Fatalf("POST /v1/leases: %v", err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusServiceUnavailable || hr.Header.Get("Retry-After") != "1" {
+		t.Fatalf("deposed POST /v1/leases = %d, Retry-After %q; want 503, 1", hr.StatusCode, hr.Header.Get("Retry-After"))
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("deposed grants changed the journal:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

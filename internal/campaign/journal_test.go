@@ -103,7 +103,7 @@ func (r *journalRig) submit(benches ...string) {
 
 func (r *journalRig) grant(worker string) *Lease {
 	r.t.Helper()
-	resp := r.c.Acquire(worker)
+	resp := acquire(r.t, r.c, worker)
 	if resp.Lease == nil {
 		r.t.Fatalf("%s: no lease granted", worker)
 	}
@@ -192,7 +192,7 @@ func TestReplayMatchesLiveAtEveryTransition(t *testing.T) {
 				t.Fatalf("after %q status differs:\nlive     %+v\nrestored %+v", name, a, b)
 			}
 		}
-		a, b := live.c.Acquire("next"), restored.c.Acquire("next")
+		a, b := acquire(t, live.c, "next"), acquire(t, restored.c, "next")
 		if (a.Lease == nil) != (b.Lease == nil) || a.Remaining != b.Remaining ||
 			(a.Lease != nil && (a.Lease.ID != b.Lease.ID || a.Lease.Bench != b.Lease.Bench || a.Lease.Attempt != b.Lease.Attempt)) {
 			t.Fatalf("after %q next grant differs: live %+v / %+v, restored %+v / %+v", name, a, a.Lease, b, b.Lease)
@@ -486,7 +486,7 @@ func TestReplayJournalWriteCounts(t *testing.T) {
 	}
 	for i := 0; i < cells; i++ {
 		appends, checks := faultinject.Hits(faultinject.SiteCoordPersist), faultinject.Hits(faultinject.SiteLeaseSteal)
-		grant := c.Acquire("w")
+		grant := acquire(t, c, "w")
 		if err := c.Complete(grant.Lease.ID, CompleteRequest{Worker: "w", Results: fakeResults(sp.Runs)}); err != nil {
 			t.Fatal(err)
 		}
@@ -692,7 +692,7 @@ func BenchmarkCoordinatorCell(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		grant := c.Acquire("bench")
+		grant := acquire(b, c, "bench")
 		if grant.Lease == nil {
 			b.StopTimer()
 			sp.Seed++
@@ -700,7 +700,7 @@ func BenchmarkCoordinatorCell(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			grant = c.Acquire("bench")
+			grant = acquire(b, c, "bench")
 		}
 		if err := c.Complete(grant.Lease.ID, CompleteRequest{Worker: "bench", Results: results}); err != nil {
 			b.Fatal(err)
@@ -735,7 +735,7 @@ func BenchmarkCoordinatorRestore(b *testing.B) {
 				if _, _, _, err := c.Submit(sp); err != nil {
 					b.Fatal(err)
 				}
-				for grant := c.Acquire("bench"); grant.Lease != nil; grant = c.Acquire("bench") {
+				for grant := acquire(b, c, "bench"); grant.Lease != nil; grant = acquire(b, c, "bench") {
 					if err := c.Complete(grant.Lease.ID, CompleteRequest{Worker: "bench", Results: fakeResults(1)}); err != nil {
 						b.Fatal(err)
 					}
@@ -778,7 +778,7 @@ func TestRestartKeepsHeartbeatExtendedLease(t *testing.T) {
 	// deadline passed a minute ago, the extended one has 25 s to run.
 	r.clock = r.clock.Add(5 * time.Second)
 	r.c = r.open()
-	if resp := r.c.Acquire("w2"); resp.Lease != nil {
+	if resp := acquire(r.t, r.c, "w2"); resp.Lease != nil {
 		t.Fatalf("restart re-granted a live lease's cell: %+v", resp.Lease)
 	}
 	r.clock = r.clock.Add(5 * time.Second)
@@ -827,14 +827,14 @@ func TestRestartBetweenJournaledHeartbeats(t *testing.T) {
 	// deadline to 80 s in memory only.
 	r.clock = start.Add(51 * time.Second)
 	r.c = r.open()
-	if resp := r.c.Acquire("w2"); resp.Lease != nil {
+	if resp := acquire(r.t, r.c, "w2"); resp.Lease != nil {
 		t.Fatalf("restart re-granted a live lease's cell: %+v", resp.Lease)
 	}
 	r.clock = start.Add(60*time.Second + time.Millisecond)
 	if !r.c.Heartbeat(l.ID) {
 		t.Fatal("restart expired a lease whose worker heartbeats every third of a TTL")
 	}
-	if resp := r.c.Acquire("w2"); resp.Lease != nil {
+	if resp := acquire(r.t, r.c, "w2"); resp.Lease != nil {
 		t.Fatalf("cell re-granted after the heartbeat: %+v", resp.Lease)
 	}
 	if err := r.complete(l.ID, "w1", ""); err != nil {

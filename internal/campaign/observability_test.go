@@ -60,7 +60,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("campaign has no trace id")
 	}
 
-	dead := coordA.Acquire("w-dead")
+	dead := acquire(t, coordA, "w-dead")
 	if dead.Lease == nil {
 		t.Fatalf("no lease for the doomed worker")
 	}
@@ -70,7 +70,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	deadCell := dead.Lease.Bench
 
-	second := coordA.Acquire("w-live")
+	second := acquire(t, coordA, "w-live")
 	if second.Lease == nil {
 		t.Fatalf("no second lease")
 	}

@@ -127,8 +127,9 @@ func leaseRecord(l *lease) persistedLease {
 // commitLocked ends one scheduling transition on camp, which touched cell
 // and lease l (nil when it touched none): it numbers the transition's
 // record, attaches it to the transition's last coordinator line and
-// appends the queued lines (flushLocked). Must be called with c.mu held.
-func (c *Coordinator) commitLocked(camp *campaignState, cell *cellState, l *lease) {
+// appends the queued lines (flushLocked), returning flushLocked's error.
+// Must be called with c.mu held.
+func (c *Coordinator) commitLocked(camp *campaignState, cell *cellState, l *lease) error {
 	camp.seq++
 	pc := cellRecord(cell)
 	rec := &journalRecord{Seq: camp.seq, State: camp.state, Err: camp.err, Cell: &pc}
@@ -147,7 +148,7 @@ func (c *Coordinator) commitLocked(camp *campaignState, cell *cellState, l *leas
 			break
 		}
 	}
-	c.flushLocked(camp)
+	return c.flushLocked(camp)
 }
 
 // flushLocked renders the lines queued by eventLocked and Complete's
@@ -157,9 +158,10 @@ func (c *Coordinator) commitLocked(camp *campaignState, cell *cellState, l *leas
 // fragment off the log (RepairLog) and writes them ahead of its own, and
 // replay skips the records a partial write had already landed. A fenced
 // append is refused and its lines are dropped: the successor replayed
-// this journal at promotion, and a deposed writer must not add to it.
-// Must be called with c.mu held.
-func (c *Coordinator) flushLocked(camp *campaignState) {
+// this journal at promotion, and a deposed writer must not add to it. The
+// refusal's *store.FencedError is the one error returned, so a caller can
+// withhold what the dropped lines record. Must be called with c.mu held.
+func (c *Coordinator) flushLocked(camp *campaignState) error {
 	var out bytes.Buffer
 	out.Write(camp.unwritten)
 	kept := len(camp.unwritten)
@@ -178,7 +180,7 @@ func (c *Coordinator) flushLocked(camp *campaignState) {
 	clear(camp.batch)
 	camp.batch = camp.batch[:0]
 	if out.Len() == 0 {
-		return
+		return nil
 	}
 	err := faultinject.Hit(context.Background(), faultinject.SiteCoordPersist)
 	if err == nil {
@@ -197,15 +199,16 @@ func (c *Coordinator) flushLocked(camp *campaignState) {
 			c.metrics().Counter("campaign.persist.fenced").NonGolden().Inc()
 			c.logger().Error("journal append refused: coordinator deposed by a newer fencing epoch",
 				obs.F("campaign", camp.id), obs.F("err", err.Error()))
-			return
+			return err
 		}
 		camp.unwritten, camp.repair = out.Bytes(), true
 		c.logger().Error("journal append failed; the next transition retries it",
 			obs.F("campaign", camp.id), obs.F("err", err.Error()))
-		return
+		return nil
 	}
 	camp.repair = false
 	c.metrics().Counter("campaign.journal.appends").NonGolden().Inc()
+	return nil
 }
 
 // cellNamed finds a campaign's cell by benchmark name.

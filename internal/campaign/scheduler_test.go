@@ -44,7 +44,7 @@ func TestWeightedFairSchedulingSmallTenantCompletes(t *testing.T) {
 
 	grants := 0
 	for {
-		resp := c.Acquire("w")
+		resp := acquire(t, c, "w")
 		if resp.Lease == nil {
 			t.Fatalf("scheduler granted nothing with %d cells open", resp.Remaining)
 		}
@@ -109,7 +109,7 @@ func TestTenantWeightsProportionalGrants(t *testing.T) {
 
 	var got []string
 	for i := 0; i < 4; i++ {
-		resp := c.Acquire("w")
+		resp := acquire(t, c, "w")
 		if resp.Lease == nil {
 			t.Fatalf("grant %d: nothing granted", i)
 		}
@@ -175,15 +175,15 @@ func TestPerTenantQuotas(t *testing.T) {
 	// Inflight cap 1: the first two grants land one per tenant; the third
 	// finds big capped and small drained, and grants nothing even though
 	// big still has a pending cell.
-	g1 := c.Acquire("w1")
-	g2 := c.Acquire("w2")
+	g1 := acquire(t, c, "w1")
+	g2 := acquire(t, c, "w2")
 	if g1.Lease == nil || g2.Lease == nil {
 		t.Fatalf("grants under cap: %+v %+v", g1, g2)
 	}
 	if byCamp[g1.Lease.Campaign] == byCamp[g2.Lease.Campaign] {
 		t.Fatalf("both grants went to tenant %q under inflight cap 1", byCamp[g1.Lease.Campaign])
 	}
-	g3 := c.Acquire("w3")
+	g3 := acquire(t, c, "w3")
 	if g3.Lease != nil {
 		t.Fatalf("inflight cap breached: %+v", g3.Lease)
 	}
@@ -201,7 +201,7 @@ func TestPerTenantQuotas(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
-	g4 := c.Acquire("w4")
+	g4 := acquire(t, c, "w4")
 	if g4.Lease == nil || byCamp[g4.Lease.Campaign] != "big" {
 		t.Fatalf("grant after completion %+v, want big's second cell", g4.Lease)
 	}
@@ -228,7 +228,7 @@ func TestScalingReportSignals(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	g1 := c.Acquire("w1")
+	g1 := acquire(t, c, "w1")
 	if g1.Lease == nil {
 		t.Fatalf("no lease")
 	}
@@ -253,7 +253,7 @@ func TestScalingReportSignals(t *testing.T) {
 		t.Fatalf("complete 1: %v", err)
 	}
 	now = base.Add(2 * time.Second)
-	g2 := c.Acquire("w2")
+	g2 := acquire(t, c, "w2")
 	if g2.Lease == nil {
 		t.Fatalf("no second lease")
 	}

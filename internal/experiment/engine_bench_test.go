@@ -16,11 +16,13 @@ import (
 )
 
 // benchEngine measures simulator throughput — retired instructions per host
-// second — for one engine on the headline benchmark (cactusADM, the paper's
-// worst-case workload), natively or under the STABILIZER runtime stab. The
-// native instr/s metric is what the CI perf job gates on via szgate; these
-// benchmarks are the local, pprof-friendly view of the same number, and the
-// stabilized ones the view of the runtime boundary's cost:
+// second — for one engine on the headline cell (CompileHeadline: cactusADM,
+// the paper's worst-case workload), natively or under the STABILIZER
+// runtime stab, one full run per iteration after a warm-up run. The native
+// pair is what `szgate floor` times in CI, as interleaved pairs of runs
+// with a BCa interval on their ratio; these benchmarks are the local,
+// pprof-friendly view of the same runs, and the stabilized ones the view
+// of the runtime boundary's cost:
 //
 //	go test -run xx -bench BenchmarkEngine ./internal/experiment/ -cpuprofile cpu.prof
 func benchEngine(b *testing.B, eng interp.Engine, stab *core.Options) {
@@ -143,13 +145,10 @@ func BenchmarkOneRunCells(b *testing.B) {
 	b.ReportMetric(float64(replayed)/float64(b.N*campaigns*len(suite)), "replayed-share")
 }
 
-// headlineBench compiles cactusADM at scale 0.2 for the engine benchmarks.
+// headlineBench compiles the headline cell (CompileHeadline) for the
+// engine benchmarks.
 func headlineBench(b *testing.B, eng interp.Engine, stab *core.Options) *Compiled {
-	bm, ok := spec.ByName("cactusADM")
-	if !ok {
-		b.Fatal("cactusADM missing from suite")
-	}
-	cc, err := CompileBench(bm, Config{Scale: 0.2, Level: compiler.O2, Noise: -1, Engine: eng, Stabilizer: stab})
+	cc, err := CompileHeadline(eng, stab)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -116,6 +116,18 @@ func CompileBench(b spec.Benchmark, cfg Config) (*Compiled, error) {
 	return &Compiled{Bench: b, Module: m, Cfg: cfg}, nil
 }
 
+// CompileHeadline compiles the headline cell under engine eng and the
+// STABILIZER options stab (nil runs natively): cactusADM, the suite's
+// heaviest workload, at scale 0.2 and -O2 with the noise term off. It is
+// the cell `szgate floor` and the engine benchmarks time.
+func CompileHeadline(eng interp.Engine, stab *core.Options) (*Compiled, error) {
+	b, ok := spec.ByName("cactusADM")
+	if !ok {
+		return nil, errors.New("experiment: cactusADM missing from the suite")
+	}
+	return CompileBench(b, Config{Scale: 0.2, Level: compiler.O2, Noise: -1, Engine: eng, Stabilizer: stab})
+}
+
 // RunResult is one execution's measurements.
 type RunResult struct {
 	Seconds      float64 // noisy simulated wall time (the measured quantity)

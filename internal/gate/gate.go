@@ -50,17 +50,6 @@ type Options struct {
 	// ShapiroAlpha is the normality-screen level choosing Welch-t vs
 	// Mann-Whitney (default 0.05, as in §6).
 	ShapiroAlpha float64
-	// MinIPSRatio, when positive, additionally gates simulator throughput:
-	// the headline benchmark's NewIPS/OldIPS (retired instructions per host
-	// second) must be at least this ratio or the gate fails. Requires both
-	// artifacts to carry host times (collected with Throughput on); host
-	// time is non-golden telemetry, so this gate compares like-for-like
-	// only when both artifacts come from the same host.
-	MinIPSRatio float64
-	// IPSBench names the headline benchmark for the throughput gate; empty
-	// selects the benchmark with the most retired instructions in the
-	// baseline (the heaviest workload — cactusADM in the default suite).
-	IPSBench string
 }
 
 func (o *Options) defaults() {
@@ -104,19 +93,6 @@ type Row struct {
 	// old: positive values mean the new samples are larger (slower).
 	CohensD, CliffsDelta float64
 	Verdict              Verdict
-	// OldIPS and NewIPS are simulator throughput — total retired
-	// instructions divided by total host seconds — for artifacts collected
-	// with host timing on; zero when either side lacks it. Non-golden:
-	// host-dependent, reported and gated but never part of the verdict.
-	OldIPS, NewIPS float64
-}
-
-// IPSRatio is NewIPS/OldIPS, or 0 when either side lacks host timing.
-func (r Row) IPSRatio() float64 {
-	if r.OldIPS <= 0 || r.NewIPS <= 0 {
-		return 0
-	}
-	return r.NewIPS / r.OldIPS
 }
 
 // Slowdown returns the point-estimate relative slowdown of new vs old
@@ -137,17 +113,9 @@ type Report struct {
 	OnlyOld, OnlyNew []string
 	Alpha, Threshold float64
 	Confidence       float64
-	// Failures counts rows that fail the gate; Fail is Failures > 0 or a
-	// throughput-gate failure.
+	// Failures counts rows that fail the gate; Fail is Failures > 0.
 	Failures int
 	Fail     bool
-	// Throughput gate (active only when Options.MinIPSRatio > 0):
-	// IPSBenchmark is the headline benchmark, IPSRatio its NewIPS/OldIPS,
-	// MinIPSRatio the floor, IPSFail the verdict.
-	IPSBenchmark string
-	IPSRatio     float64
-	MinIPSRatio  float64
-	IPSFail      bool
 }
 
 // Compare evaluates the new artifact against the old baseline. Both must
@@ -196,49 +164,7 @@ func Compare(old, new *bench.Artifact, opts Options) (*Report, error) {
 		}
 	}
 	rep.Fail = rep.Failures > 0
-	if opts.MinIPSRatio > 0 {
-		if err := gateIPS(rep, old, opts); err != nil {
-			return nil, err
-		}
-	}
 	return rep, nil
-}
-
-// gateIPS applies the throughput floor to the headline benchmark.
-func gateIPS(rep *Report, old *bench.Artifact, opts Options) error {
-	rep.MinIPSRatio = opts.MinIPSRatio
-	idx := -1
-	if opts.IPSBench != "" {
-		for i, row := range rep.Rows {
-			if row.Benchmark == opts.IPSBench {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("gate: throughput benchmark %q is not in both artifacts", opts.IPSBench)
-		}
-	} else {
-		// Headline = the heaviest baseline workload with host timing.
-		var best uint64
-		for i, row := range rep.Rows {
-			ob := old.Find(row.Benchmark)
-			if total := sumU64(ob.Instructions); row.IPSRatio() > 0 && total >= best {
-				best, idx = total, i
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("gate: no benchmark carries host timing on both sides; collect both artifacts with throughput on")
-		}
-	}
-	row := rep.Rows[idx]
-	rep.IPSBenchmark = row.Benchmark
-	rep.IPSRatio = row.IPSRatio()
-	if rep.IPSRatio == 0 {
-		return fmt.Errorf("gate: benchmark %q lacks host timing in one artifact; collect both with throughput on", row.Benchmark)
-	}
-	rep.IPSFail = rep.IPSRatio < opts.MinIPSRatio
-	rep.Fail = rep.Fail || rep.IPSFail
-	return nil
 }
 
 // comparable rejects artifact pairs whose samples measure different things.
@@ -263,8 +189,6 @@ func compareOne(ob, nb *bench.Benchmark, opts Options) Row {
 		CliffsDelta: stats.CliffsDelta(ob.Seconds, nb.Seconds),
 	}
 	row.Speedup = row.OldMean / row.NewMean
-	row.OldIPS = ips(ob)
-	row.NewIPS = ips(nb)
 
 	// §6's screening: parametric only when both samples look normal.
 	normalOld := stats.ShapiroWilk(ob.Seconds).P >= opts.ShapiroAlpha
@@ -284,31 +208,6 @@ func compareOne(ob, nb *bench.Benchmark, opts Options) Row {
 	row.Percentile, row.BCa = stats.BootstrapRatioCI(
 		ob.Seconds, nb.Seconds, opts.Bootstrap, opts.Confidence, rowSeed(opts.Seed, ob.Name))
 	return row
-}
-
-// ips is the benchmark's simulator throughput: total retired instructions
-// per total host second. Zero when the artifact lacks either series (older
-// schema, or collected without host timing) or the host time is degenerate.
-func ips(b *bench.Benchmark) float64 {
-	if len(b.Instructions) == 0 || len(b.HostSeconds) != len(b.Instructions) {
-		return 0
-	}
-	var host float64
-	for _, s := range b.HostSeconds {
-		host += s
-	}
-	if host <= 0 {
-		return 0
-	}
-	return float64(sumU64(b.Instructions)) / host
-}
-
-func sumU64(xs []uint64) uint64 {
-	var t uint64
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // rowSeed derives a per-benchmark bootstrap seed (FNV-1a over the name).
@@ -343,16 +242,16 @@ func (r *Report) Table() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Regression gate: speedup = old/new with %g%% BCa bootstrap CIs, BH-corrected at α = %g\n",
 		r.Confidence*100, r.Alpha)
-	fmt.Fprintf(&sb, "%-12s %5s %9s %21s %13s %9s %8s %7s  %s\n",
-		"Benchmark", "runs", "speedup", "BCa CI", "test", "p(adj)", "d", "δ", "verdict")
+	fmt.Fprintf(&sb, "%-12s %5s %9s %21s %13s %9s %9s %8s %7s  %s\n",
+		"Benchmark", "runs", "speedup", "BCa CI", "test", "p", "p(adj)", "d", "δ", "verdict")
 	for _, row := range r.Rows {
 		mark := " "
 		if row.FailsGate(r.Threshold) {
 			mark = "!"
 		}
-		fmt.Fprintf(&sb, "%-12s %5d %9.4f [%9.4f,%9.4f] %13s %9.4f %8.2f %7.2f  %s%s\n",
+		fmt.Fprintf(&sb, "%-12s %5d %9.4f [%9.4f,%9.4f] %13s %9.4f %9.4f %8.2f %7.2f  %s%s\n",
 			row.Benchmark, row.NewRuns, row.Speedup, row.BCa.Lo, row.BCa.Hi,
-			row.Test, row.PAdj, row.CohensD, row.CliffsDelta, row.Verdict, mark)
+			row.Test, row.P, row.PAdj, row.CohensD, row.CliffsDelta, row.Verdict, mark)
 	}
 	if len(r.OnlyOld) > 0 {
 		fmt.Fprintf(&sb, "only in baseline (skipped): %s\n", strings.Join(r.OnlyOld, ", "))
@@ -371,38 +270,10 @@ func (r *Report) Table() string {
 	}
 	fmt.Fprintf(&sb, "%d improved, %d regressed, %d indistinguishable of %d compared\n",
 		improved, regressed, len(r.Rows)-improved-regressed, len(r.Rows))
-	if hasIPS := func() bool {
-		for _, row := range r.Rows {
-			if row.IPSRatio() > 0 {
-				return true
-			}
-		}
-		return false
-	}(); hasIPS {
-		fmt.Fprintf(&sb, "Simulator throughput (retired instructions / host second, non-golden):\n")
-		fmt.Fprintf(&sb, "%-12s %14s %14s %9s\n", "Benchmark", "old ips", "new ips", "delta")
-		for _, row := range r.Rows {
-			if ratio := row.IPSRatio(); ratio > 0 {
-				fmt.Fprintf(&sb, "%-12s %14.3e %14.3e %8.2fx\n",
-					row.Benchmark, row.OldIPS, row.NewIPS, ratio)
-			}
-		}
-	}
-	if r.MinIPSRatio > 0 {
-		verdict := "meets"
-		if r.IPSFail {
-			verdict = "MISSES"
-		}
-		fmt.Fprintf(&sb, "throughput gate: %s at %.2fx %s the %.2fx floor\n",
-			r.IPSBenchmark, r.IPSRatio, verdict, r.MinIPSRatio)
-	}
-	switch {
-	case r.Failures > 0:
+	if r.Failures > 0 {
 		fmt.Fprintf(&sb, "GATE FAIL: %d regression(s) above the %+.1f%% threshold (marked !)\n",
 			r.Failures, r.Threshold*100)
-	case r.IPSFail:
-		fmt.Fprintf(&sb, "GATE FAIL: throughput %.2fx below the %.2fx floor\n", r.IPSRatio, r.MinIPSRatio)
-	default:
+	} else {
 		fmt.Fprintf(&sb, "GATE PASS: no corrected regression above the %+.1f%% threshold\n",
 			r.Threshold*100)
 	}

@@ -197,6 +197,53 @@ func TestIncomparableAndPartialArtifacts(t *testing.T) {
 	}
 }
 
+// TestEngineTagsStayComparable pins that differing engine tags alone never
+// make two artifacts incomparable, and that host times never enter a
+// verdict: both engines collect identical samples, so the tag and the host
+// times are informational. The pair has CI's shape: a walk baseline
+// carrying host times against a compiled head without them.
+func TestEngineTagsStayComparable(t *testing.T) {
+	old := synthetic(10, map[string]float64{"astar": 0.5, "mcf": 1.2})
+	new := synthetic(10, map[string]float64{"astar": 0.5, "mcf": 1.2})
+	old.Meta.Engine, new.Meta.Engine = "walk", "compiled"
+	for i := range old.Benchmarks {
+		b := &old.Benchmarks[i]
+		for range b.Seconds {
+			b.HostSeconds = append(b.HostSeconds, 0.05)
+		}
+	}
+	if err := old.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Compare(old, new, Options{})
+	if err != nil {
+		t.Fatalf("engine tags broke comparability: %v", err)
+	}
+	if rep.Fail || len(rep.Rows) != 2 {
+		t.Fatalf("identical samples under two engine tags: %s", rep.Table())
+	}
+	for _, row := range rep.Rows {
+		if row.Verdict != Indistinguishable {
+			t.Errorf("%s: verdict %v on identical samples", row.Benchmark, row.Verdict)
+		}
+	}
+}
+
+// TestTableShowsRawAndAdjustedP pins that each row prints its raw p beside
+// the Benjamini-Hochberg-adjusted one.
+func TestTableShowsRawAndAdjustedP(t *testing.T) {
+	rep := &Report{Alpha: 0.05, Threshold: 0.01, Confidence: 0.95, Rows: []Row{{
+		Benchmark: "mcf", OldRuns: 8, NewRuns: 8, OldMean: 1, NewMean: 1, Speedup: 1,
+		Test: "welch-t", P: 0.0123, PAdj: 0.0369, Verdict: Indistinguishable,
+	}}}
+	tbl := rep.Table()
+	for _, want := range []string{" p ", "p(adj)", "0.0123    0.0369"} {
+		if !strings.Contains(tbl, want) {
+			t.Errorf("table missing %q:\n%s", want, tbl)
+		}
+	}
+}
+
 func TestCompareDeterministic(t *testing.T) {
 	old := synthetic(15, map[string]float64{"astar": 0.5, "mcf": 1.2})
 	new := scaled(old, 1.01)

@@ -21,7 +21,8 @@ const (
 	EngineWalk
 )
 
-// String returns the engine's flag spelling.
+// String returns the engine's name, as artifacts and throughput cell keys
+// spell it.
 func (e Engine) String() string {
 	switch e {
 	case EngineCompiled:
@@ -30,17 +31,6 @@ func (e Engine) String() string {
 		return "walk"
 	}
 	return fmt.Sprintf("engine(%d)", uint8(e))
-}
-
-// ParseEngine parses a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "compiled", "":
-		return EngineCompiled, nil
-	case "walk":
-		return EngineWalk, nil
-	}
-	return 0, fmt.Errorf("interp: unknown engine %q (valid: compiled, walk)", s)
 }
 
 // Engines lists the selectable engines, compiled first (the default).

@@ -520,23 +520,9 @@ func TestStaleCopyRepro(t *testing.T) {
 	}
 }
 
-// TestEngineFlagParsing pins the -engine flag surface.
-func TestEngineFlagParsing(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want interp.Engine
-		ok   bool
-	}{
-		{"compiled", interp.EngineCompiled, true},
-		{"", interp.EngineCompiled, true},
-		{"walk", interp.EngineWalk, true},
-		{"jit", 0, false},
-	} {
-		got, err := interp.ParseEngine(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
+// TestEngineNames pins the engines' spellings, which artifacts' engine
+// tags and throughput cell keys carry.
+func TestEngineNames(t *testing.T) {
 	if interp.EngineCompiled.String() != "compiled" || interp.EngineWalk.String() != "walk" {
 		t.Fatal("engine String() spellings changed")
 	}
